@@ -9,17 +9,17 @@ rendering base --epsilon is given.  Exit codes: 0 success, 2 parse error
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, ParseError
 from .expr import parse_poly
 from .fields import BaseFieldModel, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
 from .forms import MonomialChart, Pluriform, kahler_norm_at, tame_certificate
 from .lattices import ElementaryDivisors, PresentationMatrix, adic_norm, content, semilattice_index, smith
-from .tropical import RationalPolytope, min_locus, polytope_vertices, retract, semistable_skeleton, trop_eval, tropicalize
+from .tropical import RationalPolytope, min_locus, polytope_vertices, retract, semistable_skeleton, tropicalize
 from .values import Val
 from .weights import KummerDivisorialSpec, compare
 
@@ -65,7 +65,14 @@ def _parse_point(text: str, n: int) -> tuple:
     return point
 
 
-def _load_json(path: str) -> dict:
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise DomainError(f"{what} wants an integer, got {text!r}") from exc
+
+
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -75,13 +82,82 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.lineno, exc.colno) from exc
 
 
+# The flag and the shape of every JSON document the subcommands read.  A
+# key ending in "?" is optional; [shape] is a list of that shape; "int" is
+# an integer or a string holding one; "text" is an expression string;
+# "any" is checked where it is used (rationals and field entries report
+# their own errors).
+_DOCS = {
+    "form": ("--form", {"n?": "int", "l?": "int", "m?": "int",
+                        "entries?": [{"e": [["int"]], "coeff": "text"}]}),
+    "g-form": ("--form", {"g": "text"}),
+    "chart": ("--chart", {"substitutions": ["text"]}),
+    "matrix": ("--matrix", {"nvars?": "int", "entries": [["any"]]}),
+    "index": ("--matrix", {"nvars?": "int", "M": [["any"]], "L": [["any"]]}),
+    "adic": ("--matrix", {"divisors": ["any"], "free_rank?": "int", "coords": ["any"]}),
+    "polytope": ("--polytope", {"n": "int", "constraints": [{"a": ["any"], "b": "any"}]}),
+}
+
+
+def _is_int(value) -> bool:
+    if isinstance(value, str):
+        try:
+            int(value)
+        except ValueError:
+            return False
+        return True
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_shape(value, shape, key: str = "") -> None:
+    """Raise a DomainError naming the first missing or ill-typed key, as a
+    path such as entries[0].coeff."""
+    what = f"key {key!r}" if key else "the document"
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise DomainError(f"{what} must be a JSON object")
+        for name, sub in shape.items():
+            required = not name.endswith("?")
+            name = name.rstrip("?")
+            child = f"{key}.{name}" if key else name
+            if name in value:
+                _check_shape(value[name], sub, child)
+            elif required:
+                raise DomainError(f"missing key {child!r}")
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise DomainError(f"{what} must be a list")
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{key}[{i}]")
+    elif shape == "int" and not _is_int(value):
+        raise DomainError(f"{what} must be an integer, got {json.dumps(value)[:40]}")
+    elif shape == "text" and not isinstance(value, str):
+        raise DomainError(f"{what} must be an expression string, got {json.dumps(value)[:40]}")
+
+
+def _load_doc(path, kind: str) -> dict:
+    """A JSON document of the given kind, its shape checked."""
+    flag, shape = _DOCS[kind]
+    if path is None:
+        raise DomainError(f"{flag} <{kind} file> is required")
+    doc = _load_json(path)
+    try:
+        _check_shape(doc, shape)
+    except DomainError as exc:
+        raise DomainError(f"{kind} file {path}: {exc}") from None
+    return doc
+
+
 def _render_val(v: Val, eps) -> object:
     if v.is_inf:
         return "inf"
     q = v.fraction
     out = {"num": q.numerator, "den": q.denominator}
     if eps is not None:
-        out["approx"] = float(eps) ** float(q)
+        try:
+            out["approx"] = float(eps) ** float(q)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"--epsilon rendering of the value {q} is out of float range") from exc
     return out
 
 
@@ -94,7 +170,7 @@ def _emit(payload: dict) -> None:
 
 
 def _load_form(args, model) -> Pluriform:
-    doc = _load_json(args.form)
+    doc = _load_doc(args.form, "form")
     n = args.n if args.n else int(doc.get("n", 0))
     if n < 1:
         raise DomainError("--n (or an n field in the form file) is required")
@@ -116,7 +192,7 @@ def _load_chart(args, model, n) -> MonomialChart:
         raise DomainError("--point is required to place the monomial point")
     rho = _parse_point(args.point, n)
     if getattr(args, "chart", None):
-        doc = _load_json(args.chart)
+        doc = _load_doc(args.chart, "chart")
         subs = [parse_poly(src, model, n, variables="s") for src in doc["substitutions"]]
         if len(subs) != n:
             raise DomainError(f"chart lists {len(subs)} substitutions, expected {n}")
@@ -124,19 +200,28 @@ def _load_chart(args, model, n) -> MonomialChart:
     return MonomialChart.identity(model, n, rho)
 
 
-def _load_matrix(doc: dict, model, point) -> PresentationMatrix:
+def _gauss_radii(doc: dict, point) -> tuple:
+    """(nvars, radii): the Gauss radii --point gives to matrix entries with
+    nvars auxiliary variables."""
     nvars = int(doc.get("nvars", 0))
-    rho = ()
-    if nvars:
-        if point is None:
-            raise DomainError("--point must supply Gauss radii for matrix entries with variables")
-        rho = _parse_point(point, nvars)
-    entries = [
-        [parse_poly(src, model, nvars, variables="t") if nvars else _field_entry(src, model)
+    if not nvars:
+        return 0, ()
+    if point is None:
+        raise DomainError("--point must supply Gauss radii for matrix entries with variables")
+    return nvars, _parse_point(point, nvars)
+
+
+def _matrix_rows(rows, model, nvars) -> list:
+    return [
+        [parse_poly(str(src), model, nvars, variables="t") if nvars else _field_entry(src, model)
          for src in row]
-        for row in doc["entries"]
+        for row in rows
     ]
-    return PresentationMatrix(model, entries, nvars=nvars, rho=rho)
+
+
+def _load_matrix(doc: dict, model, point) -> PresentationMatrix:
+    nvars, rho = _gauss_radii(doc, point)
+    return PresentationMatrix(model, _matrix_rows(doc["entries"], model, nvars), nvars=nvars, rho=rho)
 
 
 def _field_entry(src, model):
@@ -150,9 +235,9 @@ def _polytope_from_args(args) -> RationalPolytope:
             n_text, va_text = args.semistable.split(",")
         except ValueError as exc:
             raise DomainError("--semistable wants '<n>,<va>'") from exc
-        return semistable_skeleton(int(n_text), _parse_rational(va_text))
+        return semistable_skeleton(_parse_int(n_text, "--semistable"), _parse_rational(va_text))
     if getattr(args, "polytope", None):
-        doc = _load_json(args.polytope)
+        doc = _load_doc(args.polytope, "polytope")
         constraints = [
             (tuple(_parse_rational(x) for x in c["a"]), _parse_rational(c["b"]))
             for c in doc["constraints"]
@@ -203,9 +288,9 @@ def _infer_n_from_region(args):
     if args.n:
         return
     if getattr(args, "semistable", None):
-        args.n = int(args.semistable.split(",")[0])
+        args.n = _parse_int(args.semistable.split(",")[0], "--semistable")
     elif getattr(args, "polytope", None):
-        args.n = int(_load_json(args.polytope)["n"])
+        args.n = int(_load_doc(args.polytope, "polytope")["n"])
 
 
 def _cmd_max_locus(args, model, eps):
@@ -227,7 +312,7 @@ def _cmd_max_locus(args, model, eps):
 
 
 def _cmd_smith(args, model, eps):
-    doc = _load_json(args.matrix)
+    doc = _load_doc(args.matrix, "matrix")
     pres = _load_matrix(doc, model, args.point)
     d = smith(pres)
     _emit({
@@ -237,33 +322,21 @@ def _cmd_smith(args, model, eps):
 
 
 def _cmd_content(args, model, eps):
-    doc = _load_json(args.matrix)
+    doc = _load_doc(args.matrix, "matrix")
     pres = _load_matrix(doc, model, args.point)
     _emit({"content": _render_val(content(pres), eps)})
 
 
 def _cmd_index(args, model, eps):
-    doc = _load_json(args.matrix)
-    if "M" not in doc or "L" not in doc:
-        raise DomainError("index wants a JSON file with matrices under keys 'M' and 'L'")
-    nvars = int(doc.get("nvars", 0))
-    rho = _parse_point(args.point, nvars) if nvars else ()
-
-    def rows(key):
-        return [
-            [parse_poly(src, model, nvars, variables="t") if nvars else _field_entry(src, model)
-             for src in row]
-            for row in doc[key]
-        ]
-
-    value = semilattice_index(rows("M"), rows("L"), model, nvars=nvars, rho=rho)
+    doc = _load_doc(args.matrix, "index")
+    nvars, rho = _gauss_radii(doc, args.point)
+    m_rows, l_rows = (_matrix_rows(doc[key], model, nvars) for key in ("M", "L"))
+    value = semilattice_index(m_rows, l_rows, model, nvars=nvars, rho=rho)
     _emit({"index": _render_val(value, eps)})
 
 
 def _cmd_adic(args, model, eps):
-    doc = _load_json(args.matrix)
-    if "divisors" not in doc or "coords" not in doc:
-        raise DomainError("adic wants a JSON file with 'divisors', 'free_rank' and 'coords'")
+    doc = _load_doc(args.matrix, "adic")
     divisors = ElementaryDivisors(
         tuple(Val(_parse_rational(d)) for d in doc["divisors"]),
         int(doc.get("free_rank", 0)),
@@ -279,7 +352,7 @@ def _cmd_weight_compare(args, model, eps):
         raise DomainError("--n is required")
     spec = KummerDivisorialSpec(model, args.n, _parse_kummer(args.kummer))
     if args.form:
-        doc = _load_json(args.form)
+        doc = _load_doc(args.form, "g-form")
         g = parse_poly(doc["g"], model, args.n, variables="ts")
     else:
         g = spec.one()
@@ -308,7 +381,7 @@ def _cmd_tame_check(args, model, eps):
 
 
 def _cmd_grid(args, model, eps):
-    if not args.grid:
+    if args.grid is None:
         raise DomainError("--grid <steps> is required")
     steps = int(args.grid)
     if steps < 1:
@@ -329,20 +402,39 @@ def _cmd_grid(args, model, eps):
     for i in range(p.n):
         span = hi[i] - lo[i]
         axes.append([lo[i] + span * Fraction(k, steps) for k in range(steps + 1)])
+    _write_grid(sys.stdout, p, poly, axes)
 
-    out = sys.stdout
-    out.write(",".join(f"rho{i + 1}" for i in range(p.n)) + ",value\n")
 
-    def walk(prefix, depth):
-        if depth == p.n:
-            if p.contains(prefix):
-                value = trop_eval(poly, prefix)
-                out.write(",".join(str(x) for x in prefix) + f",{value}\n")
-            return
-        for x in axes[depth]:
-            walk(prefix + (x,), depth + 1)
+def _write_grid(out, p: RationalPolytope, poly, axes) -> None:
+    """CSV of the tropical value at every grid point inside p, in
+    lexicographic order.  One common denominator d turns every coordinate
+    into an integer X = d*x; each constraint row, scaled to integers, and
+    each term then carry integer partial sums down the walk, so a point
+    costs one integer comparison per row and one per term."""
+    n = p.n
+    d = lcm(*(x.denominator for axis in axes for x in axis), *(c.denominator for c, _ in poly.terms))
+    rows, bounds = [], []
+    for a, b in p.constraints:
+        s = lcm(b.denominator, *(x.denominator for x in a))
+        rows.append([int(x * s) for x in a])
+        bounds.append(int(b * s) * d)
+    columns = [[row[i] for row in rows] for i in range(n)]
+    slopes = [[e[i] for _, e in poly.terms] for i in range(n)]
+    points = [[(int(x * d), str(x)) for x in axis] for axis in axes]
+    lines = [",".join(f"rho{i + 1}" for i in range(n)) + ",value\n"]
 
-    walk((), 0)
+    def walk(prefix, sums, values, depth):
+        for x, text in points[depth]:
+            here = [s + a * x for s, a in zip(sums, columns[depth])]
+            at = [v + e * x for v, e in zip(values, slopes[depth])]
+            text = prefix + text
+            if depth + 1 < n:
+                walk(text + ",", here, at, depth + 1)
+            elif all(s <= b for s, b in zip(here, bounds)):
+                lines.append(f"{text},{str(Fraction(min(at), d)) if at else 'inf'}\n")
+
+    walk("", [0] * len(rows), [int(c * d) for c, _ in poly.terms], 0)
+    out.write("".join(lines))
 
 
 _HANDLERS = {
@@ -360,7 +452,9 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only the first run() pays for it, not every import
+
     parser = argparse.ArgumentParser(
         prog="nonarch",
         description="Exact non-archimedean seminorm and tropical skeleton calculator.",
@@ -384,11 +478,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
+def _parser():
+    """The one parser of the process, built on first use (not at import,
+    which would slow every import of the package) and only read after."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def run(argv) -> int:
     """Entry point; returns the process exit code instead of raising."""
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code == 0 else 2
         model = _parse_field(args.field)

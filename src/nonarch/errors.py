@@ -14,3 +14,8 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+class InvariantError(AssertionError):
+    """An internal invariant that guards exactness failed.  Raised
+    explicitly, so the check also runs under ``python -O``."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .values import INF, Val
 
 __all__ = ["BaseFieldModel", "FieldElement", "trivial_q", "p_adic_q", "pi_adic_q", "pi_adic_fp"]
@@ -74,6 +74,10 @@ class _RationalCoeffs:
         return -a
 
     @staticmethod
+    def pow(a, k):
+        return a ** k
+
+    @staticmethod
     def from_fraction(q):
         return Fraction(q)
 
@@ -110,6 +114,9 @@ class _PrimeFieldCoeffs:
 
     def neg(self, a):
         return (-a) % self.p
+
+    def pow(self, a, k):
+        return pow(a, k, self.p)
 
     def from_fraction(self, q):
         q = Fraction(q)
@@ -264,7 +271,8 @@ def _z_div_exact(a, b):
     lb = b[-1]
     for shift in range(len(a) - len(b), -1, -1):
         q, r = divmod(a[shift + len(b) - 1], lb)
-        assert r == 0
+        if r:
+            raise InvariantError("inexact integer polynomial division")
         out[shift] = q
         if q:
             for i, c in enumerate(b):
@@ -522,6 +530,21 @@ class FieldElement:
         k = int(k)
         if k < 0:
             return (self.model.one() / self) ** (-k)
+        if k == 0:
+            return self.model.one()
+        cf = self.model._cf
+        num, den = self.num, self.den
+        # c*pi^i and a/(b*pi^j) go straight to their k-th power, in the
+        # payload repeated multiplication leaves: c^k*pi^(ik) over 1, and
+        # a^k/(b^k*pi^(jk)), fully reduced past _REDUCE_DEGREE
+        if num and not any(num[:-1]) and den == (cf.one,):
+            return FieldElement(self.model, (cf.zero,) * ((len(num) - 1) * k) + (cf.pow(num[-1], k),), den)
+        if len(num) == 1 and len(den) > 1 and not any(den[:-1]):
+            a, b = cf.pow(num[0], k), cf.pow(den[-1], k)
+            zeros = (cf.zero,) * ((len(den) - 1) * k)
+            if len(zeros) + 2 > _REDUCE_DEGREE:
+                return FieldElement(self.model, (cf.div(a, b),), zeros + (cf.one,))
+            return FieldElement(self.model, (a,), zeros + (b,))
         result = self.model.one()
         base = self
         while k:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .fields import BaseFieldModel, FieldElement
 from .laurent import LaurentPoly, gauss_val, gauss_val_rational
 from .values import INF, Val, vsum
@@ -172,7 +172,7 @@ def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
     """Elementary divisors of the presented module.
 
     Pivots are chosen with minimal valuation, ties broken by row-major
-    position; every intermediate entry provably stays in K° (asserted)."""
+    position; every intermediate entry provably stays in K° (checked)."""
     work, valfn = _working_matrix(presentation)
     vals = [[valfn(e) for e in row] for row in work]
     live_rows = list(range(presentation.rows))
@@ -190,7 +190,8 @@ def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
                     pr, pc = r, c
         if pivot_val.is_inf:
             break
-        assert pivot_val >= _ZERO
+        if pivot_val < _ZERO:
+            raise InvariantError("Smith pivot left the valuation ring")
         divisors.append(pivot_val)
         piv = work[pr][pc]
         pivot_row = work[pr]
@@ -205,7 +206,8 @@ def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
                     continue
                 row[c] = row[c] - factor * pivot_row[c]
                 v = valfn(row[c])
-                assert v >= _ZERO
+                if v < _ZERO:
+                    raise InvariantError("Smith elimination left the valuation ring")
                 vrow[c] = v
         live_rows.remove(pr)
         live_cols.remove(pc)

@@ -139,13 +139,14 @@ class LaurentPoly:
 
     def __pow__(self, k: int):
         k = int(k)
-        if k < 0:
-            if len(self.terms) != 1:
-                raise DomainError("negative powers require a single-term Laurent polynomial")
+        if len(self.terms) == 1:
+            # c*t^I goes straight to c^k*t^(kI), for every integer k
             (exps, coeff), = self.terms.items()
-            inv = self.model.one() / coeff
-            out = LaurentPoly.monomial(self.model, self.n, tuple(-e for e in exps), inv)
-            return out ** (-k)
+            out = LaurentPoly.zero(self.model, self.n)
+            out.terms = {tuple(k * e for e in exps): coeff ** k}
+            return out
+        if k < 0:
+            raise DomainError("negative powers require a single-term Laurent polynomial")
         result = LaurentPoly.one(self.model, self.n)
         base = self
         while k:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvariantError
+
 __all__ = ["lp_min", "OPTIMAL", "UNBOUNDED", "INFEASIBLE"]
 
 OPTIMAL = "optimal"
@@ -121,8 +123,8 @@ def lp_min(c, A, b):
         cost1 = [_ZERO] * cols
         for j in range(art_start, cols):
             cost1[j] = _ONE
-        status = tab.minimize(cost1)
-        assert status == OPTIMAL  # phase 1 is always bounded below by 0
+        if tab.minimize(cost1) != OPTIMAL:
+            raise InvariantError("phase 1 is bounded below by 0 but read unbounded")
         if tab.value != 0:
             return INFEASIBLE, None, None
         # pivot lingering artificials out of the basis, drop redundant rows

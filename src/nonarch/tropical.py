@@ -6,11 +6,12 @@ Tropicalizing a pluriform in identity-chart coordinates keeps one term
 constant; evaluating the resulting min-plus polynomial at rational radii
 reproduces the Kahler norm at the corresponding monomial point, exactly.
 
-Minimizing a min-plus polynomial over a rational polytope reduces to one
-exact LP per term.  Every affine term dominates the minimum on the whole
-polytope, so each term attaining the optimum does so exactly on a face;
-the locus of minimality (maximality of the multiplicative norm) is the
-union of those faces.
+Minimizing a min-plus polynomial over a rational polytope needs exact
+LPs only to show the polytope nonempty and bounded; every term's minimum
+is then read off the exact vertex list.  Every affine term dominates the
+minimum on the whole polytope, so each term attaining the optimum does so
+exactly on a face; the locus of minimality (maximality of the
+multiplicative norm) is the union of those faces.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .forms import MonomialChart, Pluriform
 from .laurent import gauss_val
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_min
+from .lp import INFEASIBLE, UNBOUNDED, lp_min
 from .values import INF, Val
 
 __all__ = [
@@ -185,18 +186,17 @@ def polytope_vertices(p: RationalPolytope) -> tuple:
 
 
 def _require_nonempty_bounded(p: RationalPolytope):
+    """One LP per signed coordinate direction (one feasibility LP in
+    dimension 0); the first reads INFEASIBLE exactly when p is empty."""
     a = [list(row) for row, _ in p.constraints]
     b = [bb for _, bb in p.constraints]
-    status, _, _ = lp_min([0] * p.n, a, b)
-    if status == INFEASIBLE:
-        raise DomainError("empty polytope")
-    for i in range(p.n):
-        for sign in (1, -1):
-            c = [0] * p.n
-            c[i] = sign
-            status, _, _ = lp_min(c, a, b)
-            if status == UNBOUNDED:
-                raise DomainError("unbounded polyhedron; a bounded polytope is required")
+    directions = [[sign if j == i else 0 for j in range(p.n)] for i in range(p.n) for sign in (1, -1)]
+    for c in directions or [[]]:
+        status, _, _ = lp_min(c, a, b)
+        if status == INFEASIBLE:
+            raise DomainError("empty polytope")
+        if status == UNBOUNDED:
+            raise DomainError("unbounded polyhedron; a bounded polytope is required")
 
 
 @dataclass(frozen=True)
@@ -223,8 +223,10 @@ def min_locus(poly: TropPoly, p: RationalPolytope):
     """Exact minimum of the min-plus polynomial over the polytope, with the
     locus where it is attained.
 
-    Each affine term is minimized by one exact LP; since the term bounds
-    the function from above and the minimum from below on all of P, the
+    Once LPs have shown P nonempty and bounded, every affine term attains
+    its minimum over P at a vertex, so one pass over the exact vertex list
+    gives each term's minimum and m_star.  Since each term bounds the
+    function from above and m_star bounds it from below on all of P, the
     attainment set of each optimal term is the face of P exposed by that
     term.  Faces are reported by their tight constraint sets with vertex
     lists, deduplicated, in lexicographic tight-set order."""
@@ -234,25 +236,20 @@ def min_locus(poly: TropPoly, p: RationalPolytope):
         raise DomainError("empty tropical polynomial has no minimum")
     _require_nonempty_bounded(p)
 
-    a = [list(row) for row, _ in p.constraints]
-    b = [bb for _, bb in p.constraints]
-    term_min = []
-    for c, exps in poly.terms:
-        status, value, _ = lp_min(list(exps), a, b)
-        assert status == OPTIMAL
-        term_min.append(c + value)
-    m_star = min(term_min)
-
     verts = polytope_vertices(p)
+    if not verts:
+        raise InvariantError("a nonempty bounded polytope has a vertex")
+    values = [
+        [c + sum(e * x for e, x in zip(exps, v)) for v in verts]
+        for c, exps in poly.terms
+    ]
+    m_star = min(min(row) for row in values)
+
     faces = {}
-    for (c, exps), tm in zip(poly.terms, term_min):
-        if tm != m_star:
+    for row in values:
+        attain = tuple(v for v, value in zip(verts, row) if value == m_star)
+        if not attain:
             continue
-        attain = tuple(
-            v for v in verts
-            if c + sum(e * x for e, x in zip(exps, v)) == m_star
-        )
-        assert attain, "a bounded LP attains its optimum at a vertex"
         tight = sorted(
             set(p.tight_set(attain[0])).intersection(*(p.tight_set(v) for v in attain))
         )

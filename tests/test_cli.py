@@ -1,6 +1,17 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from itertools import product
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from nonarch import cli
 from nonarch.cli import run
+from nonarch.tropical import RationalPolytope, TropPoly, polytope_vertices, trop_eval
 
 
 def invoke(capsys, *argv):
@@ -217,3 +228,176 @@ def test_output_determinism(tmp_path, capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_grid_zero_steps_is_named(tmp_path, capsys):
+    form = write(tmp_path, "f.json", {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "t1"}]})
+    code, out, err = invoke(capsys, "grid", "--grid", "0", "--semistable", "1,1", "--form", form)
+    assert code == 3 and not out
+    assert "positive number of steps" in err
+
+
+# (argv with {file} placeholders, a phrase the message must hold)
+ESCAPES = [
+    (["smith", "--field", "padic:2", "--matrix", "{empty}"], "missing key 'entries'"),
+    (["smith", "--field", "padic:2", "--matrix", "{nvars_x}"], "key 'nvars' must be an integer"),
+    (["max-locus", "--semistable", "a,1", "--form", "{form}"], "--semistable wants an integer"),
+    (["eval-norm", "--n", "1", "--point", "1", "--form", "{a_list}"], "must be a JSON object"),
+    (["smith", "--matrix", "{a_list}"], "must be a JSON object"),
+    (["max-locus", "--n", "1", "--polytope", "{no_constraints}", "--form", "{form}"],
+     "missing key 'constraints'"),
+    (["eval-norm", "--field", "padic:2", "--n", "1", "--point", "0", "--epsilon", "0.1",
+      "--form", "{deep}"], "out of float range"),
+    (["eval-norm", "--n", "1", "--point", "1"], "--form <form file> is required"),
+]
+
+
+@pytest.mark.parametrize("argv, phrase", ESCAPES, ids=[a[0] + ":" + p for a, p in ESCAPES])
+def test_malformed_documents_keep_the_exit_contract(tmp_path, capsys, argv, phrase):
+    files = {
+        "empty": {},
+        "nvars_x": {"nvars": "x", "entries": [["1"]]},
+        "a_list": [],
+        "no_constraints": {"n": 1},
+        "form": {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "t1 + 1"}]},
+        "deep": {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "2^-400"}]},
+    }
+    argv = [write(tmp_path, a[1:-1] + ".json", files[a[1:-1]]) if a.startswith("{") else a
+            for a in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 3 and not out
+    assert phrase in err
+
+
+_KEYS = ["n", "l", "m", "entries", "e", "coeff", "nvars", "M", "L", "divisors", "free_rank",
+         "coords", "constraints", "a", "b", "g", "substitutions"]
+_SNIPPETS = ["t1", "1 + t1^-2", "pi^3*t1", "2^-400", "t1 +", "(", "", "3/4", "pi", "s1", "t2*t1",
+             "1/0", "5", "0", "x"]
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 6), st.sampled_from(_SNIPPETS),
+                     st.sampled_from([0.5, 1.0, float("nan")]))
+_small = st.one_of(st.integers(-1, 3), st.sampled_from(["2", "x", None, [1]]))
+_exprs = st.one_of(st.sampled_from(_SNIPPETS), st.integers(-2, 4))
+_rows = st.lists(st.lists(_exprs, max_size=3), max_size=3)
+# random JSON, and documents one or two keys away from well-formed ones
+_documents = st.one_of(
+    st.recursive(_scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.sampled_from(_KEYS), inner, max_size=5)),
+        max_leaves=12),
+    st.fixed_dictionaries({"l": _small, "m": _small, "n": _small, "entries": st.lists(
+        st.fixed_dictionaries({"e": st.sampled_from([[[1]], [[1, 2]], [[2, 1]], [[0]], [[1], [1]],
+                                                     [], [["1"]], [[1.5]]]),
+                               "coeff": _exprs}), max_size=3)}),
+    st.fixed_dictionaries({"nvars": _small, "entries": _rows}),
+    st.fixed_dictionaries({"nvars": _small, "M": _rows, "L": _rows}),
+    st.fixed_dictionaries({"divisors": st.lists(_exprs, max_size=3), "free_rank": _small,
+                           "coords": st.lists(_exprs, max_size=4)}),
+    st.fixed_dictionaries({"n": _small, "constraints": st.lists(st.fixed_dictionaries(
+        {"a": st.lists(_exprs, max_size=3), "b": _exprs}), max_size=4)}),
+    st.fixed_dictionaries({"substitutions": st.lists(_exprs, max_size=3)}),
+    st.fixed_dictionaries({"g": _exprs}),
+)
+_COMMANDS = ["eval-norm", "trop", "max-locus", "smith", "content", "index", "adic",
+             "weight-compare", "retract", "tame-check", "grid", "nosuch"]
+_OPTIONS = {
+    "--field": ["trivial", "padic:2", "padic:4", "piadic-q", "piadic-f3", "piadic-fx", "q"],
+    "--n": ["1", "2", "0", "-1", "x"],
+    "--point": ["1", "1/2,0", "x", "1/0", "", "0,0,0", "-1"],
+    "--semistable": ["1,1", "2,1/2", "a,1", "1,0", "1", "3,2", ",", "2,x"],
+    "--kummer": ["1:2", "1:x", "a", "1:0", "2:3,1:2", "1:3,1:2", ""],
+    "--m": ["1", "2", "0", "-1"],
+    "--epsilon": ["0.1", "1/3", "2", "x", "0", "1e-400"],
+    "--grid": ["-1", "0", "1", "2", "x"],
+}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@given(st.sampled_from(_COMMANDS),
+       st.dictionaries(st.sampled_from(sorted(_OPTIONS)), st.integers(0, 7), max_size=5),
+       st.dictionaries(st.sampled_from(["--form", "--matrix", "--polytope", "--chart"]),
+                       _documents, max_size=3))
+def test_random_documents_and_argv_keep_the_exit_contract(command, options, docs):
+    argv = [command]
+    for flag, i in options.items():
+        argv += [flag, _OPTIONS[flag][i % len(_OPTIONS[flag])]]
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, doc in docs.items():
+            path = os.path.join(tmp, flag[2:] + ".json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            argv += [flag, path]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)  # any exception here is a traceback escaping the contract
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().strip() and not out.getvalue()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    form = write(tmp_path, "f.json", {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "pi + t1"}]})
+    form2 = write(tmp_path, "g.json", {"l": 2, "m": 1, "entries": [{"e": [[1, 2]], "coeff": "t1 + t2^2"}]})
+    matrix = write(tmp_path, "m.json", {"entries": [["2", "1"], ["4", "8"]]})
+    calls = [
+        ["smith", "--field", "padic:2", "--matrix", matrix],
+        ["frobnicate", "--n", "1"],
+        ["eval-norm", "--n", "x"],
+        ["eval-norm", "--field", "piadic-q", "--n", "1", "--point", "1/2", "--form", form,
+         "--epsilon", "1/3"],
+        ["grid", "--grid", "0", "--semistable", "1,1", "--form", form],
+        ["max-locus", "--semistable", "2,1", "--form", form2],
+        ["smith", "--help"],
+        ["grid", "--grid", "3", "--semistable", "2,2", "--form", form2],
+        ["trop", "--n", "1", "--form", form],
+        [],
+    ]
+
+    def record(fresh):
+        seen = []
+        for argv in calls * 2:
+            if fresh:
+                monkeypatch.setattr(cli, "_PARSER", None)
+            code = run(argv)
+            out = capsys.readouterr()
+            seen.append((code, out.out, out.err))
+        return seen
+
+    reused = record(fresh=False)
+    parser = cli._PARSER
+    run(["trop", "--n", "1", "--form", form])
+    capsys.readouterr()
+    assert cli._PARSER is parser
+    assert reused == record(fresh=True)
+
+
+def _naive_grid(p, poly, axes):
+    lines = [",".join(f"rho{i + 1}" for i in range(p.n)) + ",value\n"]
+    for point in product(*axes):
+        if p.contains(point):
+            lines.append(",".join(str(x) for x in point) + f",{trop_eval(poly, point)}\n")
+    return "".join(lines)
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.lists(_fractions, min_size=n, max_size=n), _fractions),
+             min_size=n + 1, max_size=n + 3),
+    st.lists(st.tuples(_fractions, st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
+             max_size=5),
+    st.integers(1, 4))))
+def test_grid_csv_matches_the_naive_walk(case):
+    n, constraints, terms, steps = case
+    p, poly = RationalPolytope(n, constraints), TropPoly(n, terms)
+    verts = polytope_vertices(p)
+    if not verts:
+        return
+    axes = []
+    for i in range(n):
+        lo, hi = min(v[i] for v in verts), max(v[i] for v in verts)
+        axes.append([lo + (hi - lo) * Fraction(k, steps) for k in range(steps + 1)])
+    out = io.StringIO()
+    cli._write_grid(out, p, poly, axes)
+    assert out.getvalue() == _naive_grid(p, poly, axes)

@@ -104,3 +104,66 @@ def test_equal_elements_hash_equal():
     u = (1 + pi) / (1 + pi) ** 2
     v = k.one() / (1 + pi)
     assert u == v and hash(u) == hash(v)
+
+
+FOUR_MODELS = [trivial_q(), p_adic_q(2), pi_adic_q(), pi_adic_fp(3)]
+
+
+def _repeated_power(x, k):
+    """x**k by |k| multiplications, of x or of its inverse."""
+    base = x if k >= 0 else x.model.one() / x
+    out = x.model.one()
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def _power_cases(model):
+    coeffs = [model.elem(c) for c in (1, -1, 2, Fraction(-5, 7))]
+    if not model.is_discrete:
+        return coeffs + [model.elem(3) + 1]
+    u = model.uniformizer()
+    cases = []
+    for c in coeffs:
+        for i in (1, 2, 5, 11):
+            cases += [c * u ** i, c / u ** i]
+    # unreduced payloads: a/(b*pi^j) straight from the constructor
+    if model.has_pi:
+        cases += [model.from_pi_polys((1,), (0, 0, 2)), model.from_pi_polys((1, 1), (0, 2))]
+    return coeffs + cases + [u + 1, model.zero()]
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=lambda m: m.kind)
+def test_closed_form_powers_match_repeated_multiplication(model):
+    for x in _power_cases(model):
+        for k in range(-6, 13):
+            if x.is_zero and k < 0:
+                continue
+            got, want = x ** k, _repeated_power(x, k)
+            assert got == want, (x, k)
+            assert hash(got) == hash(want) and str(got) == str(want), (x, k)
+            # the very payload repeated multiplication leaves
+            assert (got.num, got.den) == (want.num, want.den), (x, k)
+
+
+def test_invariant_checks_run_under_optimize_flag():
+    # an exactness invariant is an explicit check, not an assert that
+    # python -O would strip
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "from nonarch.errors import InvariantError\n"
+        "from nonarch.fields import _z_div_exact\n"
+        "try:\n"
+        "    _z_div_exact((1, 1), (2,))\n"
+        "except InvariantError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised:")

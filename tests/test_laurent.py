@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nonarch.errors import DomainError
-from nonarch.fields import p_adic_q, pi_adic_q
+from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
 from nonarch.laurent import LaurentPoly, gauss_val, gauss_val_rational, log_derivative
 from nonarch.values import INF, Val
 
@@ -99,3 +99,31 @@ def test_ring_axioms_random():
         assert f * g == g * f
         assert f + (g + h) == (f + g) + h
         assert f - f == LaurentPoly.zero(k, 2)
+
+
+@pytest.mark.parametrize("model", [trivial_q(), p_adic_q(2), pi_adic_q(), pi_adic_fp(3)],
+                         ids=lambda m: m.kind)
+def test_single_term_powers_match_repeated_multiplication(model):
+    coeffs = [model.elem(1), model.elem(-2)]
+    if model.is_discrete:
+        u = model.uniformizer()
+        coeffs += [u ** 3, model.elem(2) / u ** 2]
+    for coeff in coeffs:
+        for exps in [(0, 0), (1, -2), (3, 0)]:
+            f = LaurentPoly.monomial(model, 2, exps, coeff)
+            for k in range(-6, 13):
+                base = f if k >= 0 else LaurentPoly.monomial(
+                    model, 2, tuple(-e for e in exps), model.one() / coeff)
+                want = LaurentPoly.one(model, 2)
+                for _ in range(abs(k)):
+                    want = want * base
+                got = f ** k
+                assert got == want and hash(got) == hash(want) and str(got) == str(want)
+                (e1, c1), = got.terms.items()
+                (e2, c2), = want.terms.items()
+                assert e1 == e2 and (c1.num, c1.den) == (c2.num, c2.den)
+    # several terms: nonnegative powers still multiply out, negative ones are refused
+    g = LaurentPoly.monomial(model, 2, (1, 0)) + 1
+    assert g ** 3 == g * g * g
+    with pytest.raises(DomainError):
+        g ** -1

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonarch.errors import DomainError
 from nonarch.fields import p_adic_q, pi_adic_q
 from nonarch.forms import MonomialChart, Pluriform, kahler_norm_at
+from nonarch.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_min
 from nonarch.laurent import LaurentPoly
 from nonarch.tropical import (
+    Face,
+    FaceComplex,
     RationalPolytope,
     TropPoly,
     min_locus,
@@ -291,3 +295,70 @@ def test_min_locus_faces_are_faces_and_sound():
                 sum(l * v[i] for l, v in zip(lam, verts)) / tot for i in range(n)
             )
             assert trop_eval(poly, point).fraction >= m_star
+
+
+def _min_locus_by_lp(poly, p):
+    """The per-term LP computation min_locus replaced: one exact LP for each
+    term's minimum, then the faces from the vertex list."""
+    a = [list(row) for row, _ in p.constraints]
+    b = [bb for _, bb in p.constraints]
+    if lp_min([0] * p.n, a, b)[0] == INFEASIBLE:
+        raise DomainError("empty polytope")
+    for i in range(p.n):
+        for sign in (1, -1):
+            c = [sign if j == i else 0 for j in range(p.n)]
+            if lp_min(c, a, b)[0] == UNBOUNDED:
+                raise DomainError("unbounded polyhedron; a bounded polytope is required")
+    term_min = []
+    for c, exps in poly.terms:
+        status, value, _ = lp_min(list(exps), a, b)
+        assert status == OPTIMAL
+        term_min.append(c + value)
+    m_star = min(term_min)
+    verts = polytope_vertices(p)
+    faces = {}
+    for (c, exps), tm in zip(poly.terms, term_min):
+        if tm != m_star:
+            continue
+        attain = tuple(v for v in verts if c + sum(e * x for e, x in zip(exps, v)) == m_star)
+        tight = sorted(set(p.tight_set(attain[0])).intersection(*(p.tight_set(v) for v in attain)))
+        faces[tuple(tight)] = Face(tuple(tight), attain)
+    return m_star, FaceComplex(tuple(faces[k] for k in sorted(faces)))
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _polytope_and_poly(draw):
+    """A box with up to three extra cuts (so possibly empty, degenerate or
+    with redundant rows), and a min-plus polynomial on it."""
+    n = draw(st.integers(1, 3))
+    constraints = []
+    for i in range(n):
+        lo = draw(st.integers(-2, 1))
+        hi = lo + draw(st.integers(0, 3))
+        unit = [Fraction(int(j == i)) for j in range(n)]
+        constraints += [(unit, Fraction(hi)), ([-x for x in unit], Fraction(-lo))]
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        constraints.append(([Fraction(x) for x in a], draw(_rationals)))
+    if draw(st.booleans()):
+        constraints.reverse()
+    terms = draw(st.lists(
+        st.tuples(_rationals, st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)),
+        min_size=1, max_size=6))
+    return TropPoly(n, terms), RationalPolytope(n, constraints)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polytope_and_poly())
+def test_min_locus_matches_per_term_lp(case):
+    poly, p = case
+    try:
+        want = _min_locus_by_lp(poly, p)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=str(exc)):
+            min_locus(poly, p)
+        return
+    assert min_locus(poly, p) == want
