@@ -45,6 +45,7 @@ from .tropical import (
     FaceComplex,
     RationalPolytope,
     TropPoly,
+    bounded_vertices,
     min_locus,
     polytope_vertices,
     prune_never_minimal,
@@ -71,8 +72,9 @@ __all__ = [
     "ElementaryDivisors", "Face", "FaceComplex", "FieldElement", "INF",
     "KummerDivisorialSpec", "LaurentPoly", "MonomialChart", "ParseError",
     "Pluriform", "PresentationMatrix", "PullbackResult", "RationalPolytope",
-    "TameStatus", "TropPoly", "Val", "adic_norm", "compare", "content",
-    "det_norm", "det_val", "differential", "different_kummer_ramified",
+    "TameStatus", "TropPoly", "Val", "adic_norm", "bounded_vertices",
+    "compare", "content", "det_norm", "det_val", "differential",
+    "different_kummer_ramified",
     "gauss_val", "gauss_val_rational", "kahler_norm_at",
     "kahler_norm_divisorial", "log_derivative", "log_different", "lp_min",
     "min_locus", "norm_index", "p_adic_q", "parse_poly", "pi_adic_fp",

@@ -19,7 +19,9 @@ from .expr import parse_poly
 from .fields import BaseFieldModel, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
 from .forms import MonomialChart, Pluriform, kahler_norm_at, tame_certificate
 from .lattices import ElementaryDivisors, PresentationMatrix, adic_norm, content, semilattice_index, smith
-from .tropical import RationalPolytope, min_locus, polytope_vertices, retract, semistable_skeleton, tropicalize
+from .tropical import (
+    RationalPolytope, bounded_vertices, min_locus, retract, semistable_skeleton, tropicalize,
+)
 from .values import Val
 from .weights import KummerDivisorialSpec, compare
 
@@ -392,16 +394,13 @@ def _cmd_grid(args, model, eps):
     p = _polytope_from_args(args)
     if p.n != poly.n:
         raise DomainError("form and polytope dimensions disagree")
-    verts = polytope_vertices(p)
-    if not verts:
-        raise DomainError("polytope has no vertices (empty or unbounded)")
-    lo = [min(v[i] for v in verts) for i in range(p.n)]
-    hi = [max(v[i] for v in verts) for i in range(p.n)]
-
+    verts = bounded_vertices(p)
     axes = []
     for i in range(p.n):
-        span = hi[i] - lo[i]
-        axes.append([lo[i] + span * Fraction(k, steps) for k in range(steps + 1)])
+        lo = min(v[i] for v in verts)
+        span = max(v[i] for v in verts) - lo
+        # a flat axis holds one value; steps + 1 equal ones would repeat every point
+        axes.append([lo + span * Fraction(k, steps) for k in range(steps + 1)] if span else [lo])
     _write_grid(sys.stdout, p, poly, axes)
 
 

@@ -13,14 +13,21 @@ exponent is accepted only when the base is a single-term monomial (other
 inverses are not Laurent polynomials).  'pi' denotes the uniformizer and
 needs a pi-adic base field.  Errors carry the line and column of the
 offending token.
+
+A term's numbers, pi, variables and their powers multiply into one
+monomial c*pi^k*t^I, with c in the model's coefficient ring, which
+becomes a single coefficient when the term ends; only parenthesised sums
+(and their powers) go through LaurentPoly arithmetic.  The terms of a sum
+are added into one dict in place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import DomainError, ParseError
-from .fields import BaseFieldModel
+from .fields import BaseFieldModel, FieldElement
 from .laurent import LaurentPoly
 
 __all__ = ["parse_poly", "poly_to_expr"]
@@ -48,9 +55,9 @@ def _tokenize(text):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), line, col))
             col += j - i
@@ -74,6 +81,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.model = model
+        self.cf = model._cf
         self.n = n
         # map from variable prefix to index offset in the exponent vector
         if variables == "t":
@@ -110,64 +118,47 @@ class _Parser:
         return value
 
     def expr(self) -> LaurentPoly:
-        value = self.term()
+        terms = {}
+        self.term(terms, False)
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            self.term(terms, self.take()[0] == "-")
+        return LaurentPoly._of(self.model, self.width, terms)
 
-    def term(self) -> LaurentPoly:
-        value = self.factor()
-        while self.peek()[0] == "*":
-            self.take()
-            value = value * self.factor()
-        return value
-
-    def factor(self) -> LaurentPoly:
-        if self.peek()[0] == "-":
-            self.take()
-            return -self.factor()
-        return self.power()
-
-    def power(self) -> LaurentPoly:
-        base = self.atom()
-        if self.peek()[0] != "^":
-            return base
-        self.take()
-        sign = 1
-        if self.peek()[0] == "-":
-            self.take()
-            sign = -1
-        tok = self.expect("int")
-        exponent = sign * tok[1]
-        if exponent < 0 and len(base.terms) != 1:
-            raise ParseError(
-                "negative exponent requires a single-term monomial base", tok[2], tok[3]
-            )
-        return base ** exponent
-
-    def atom(self) -> LaurentPoly:
-        tok = self.take()
-        kind, value, line, col = tok
-        if kind == "int":
-            q = Fraction(value)
-            if self.peek()[0] == "/":
+    def term(self, terms: dict, negate: bool) -> None:
+        """Add one product of factors to terms, in place.  Numbers, pi,
+        variables and their powers multiply into c*pi^k*t^exps (c in the
+        coefficient ring); only parenthesised sums are LaurentPolys."""
+        cf = self.cf
+        c = cf.neg(cf.one) if negate else cf.one
+        k, exps, poly = 0, [0] * self.width, None
+        while True:
+            while self.peek()[0] == "-":
                 self.take()
-                den_tok = self.expect("int")
-                if den_tok[1] == 0:
-                    raise ParseError("zero denominator in rational literal", den_tok[2], den_tok[3])
-                q = Fraction(value, den_tok[1])
-            try:
-                return LaurentPoly.constant(self.model, self.width, q)
-            except DomainError as exc:
-                raise ParseError(str(exc), line, col) from exc
-        if kind == "name":
-            if value == "pi":
+                c = cf.neg(c)
+            kind, value, line, col = self.take()
+            if kind == "int":
+                q = Fraction(value)
+                if self.peek()[0] == "/":
+                    self.take()
+                    den_tok = self.expect("int")
+                    if den_tok[1] == 0:
+                        raise ParseError("zero denominator in rational literal", den_tok[2], den_tok[3])
+                    q = Fraction(value, den_tok[1])
+                try:
+                    a = cf.from_fraction(q)
+                except DomainError as exc:
+                    raise ParseError(str(exc), line, col) from exc
+                e, tok = self.exponent()
+                if e < 0 and cf.is_zero(a):
+                    raise _not_monomial(tok)
+                c = cf.mul(c, a if e == 1 else cf.pow(a, e))
+            elif kind == "name" and value == "pi":
                 if not self.model.has_pi:
                     raise ParseError("symbol 'pi' requires a pi-adic base field", line, col)
-                return LaurentPoly.constant(self.model, self.width, self.model.uniformizer())
-            if len(value) == 2 and value[0] in self.prefixes and value[1].isdigit():
+                k += self.exponent()[0]
+            elif kind == "name":
+                if not (len(value) == 2 and value[0] in self.prefixes and value[1].isdecimal()):
+                    raise ParseError(f"unknown symbol {value!r}", line, col)
                 idx = int(value[1])
                 if not 1 <= idx <= 9:
                     raise ParseError(f"variable index in {value!r} must be 1..9", line, col)
@@ -175,15 +166,56 @@ class _Parser:
                     raise ParseError(
                         f"variable {value!r} exceeds the declared dimension n={self.n}", line, col
                     )
-                return LaurentPoly.variable(self.model, self.width, self.prefixes[value[0]] + idx)
-            raise ParseError(f"unknown symbol {value!r}", line, col)
-        if kind == "(":
-            inner = self.expr()
-            closing = self.take()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", closing[2], closing[3])
-            return inner
-        raise ParseError(f"unexpected token {value!r}", line, col)
+                exps[self.prefixes[value[0]] + idx - 1] += self.exponent()[0]
+            elif kind == "(":
+                inner = self.expr()
+                closing = self.take()
+                if closing[0] != ")":
+                    raise ParseError("expected ')'", closing[2], closing[3])
+                e, tok = self.exponent()
+                if e < 0 and len(inner.terms) != 1:
+                    raise _not_monomial(tok)
+                if e != 1:
+                    inner = inner ** e
+                poly = inner if poly is None else poly * inner
+            else:
+                raise ParseError(f"unexpected token {value!r}", line, col)
+            if self.peek()[0] != "*":
+                break
+            self.take()
+        if cf.is_zero(c):
+            return
+        coeff = FieldElement._monomial(self.model, c, k)
+        exps = tuple(exps)
+        if poly is None:
+            items = ((exps, coeff),)
+        else:
+            items = ((tuple(map(add, e, exps)), a * coeff) for e, a in poly.terms.items())
+        for e, a in items:
+            acc = terms.get(e)
+            if acc is not None:
+                a = acc + a
+                if a.is_zero:
+                    del terms[e]
+                    continue
+            terms[e] = a
+
+    def exponent(self):
+        """The integer after an optional '^' (1 without one), and its
+        token."""
+        if self.peek()[0] != "^":
+            return 1, None
+        self.take()
+        sign = 1
+        if self.peek()[0] == "-":
+            self.take()
+            sign = -1
+        tok = self.expect("int")
+        return sign * tok[1], tok
+
+
+def _not_monomial(tok) -> ParseError:
+    return ParseError("negative exponent requires a single-term monomial base", tok[2], tok[3])
 
 
 def parse_poly(text: str, model: BaseFieldModel, n: int, variables: str = "t") -> LaurentPoly:

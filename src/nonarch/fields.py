@@ -456,6 +456,15 @@ class FieldElement:
             num, den = _full_reduce(num, den, cf)
         return cls(model, num, den)
 
+    @classmethod
+    def _monomial(cls, model, c, k: int) -> "FieldElement":
+        """c*pi^k for a nonzero c of the model's coefficient ring, in
+        canonical form (k is 0 in the models without pi)."""
+        cf = model._cf
+        if k >= 0:
+            return cls(model, (cf.zero,) * k + (c,), (cf.one,))
+        return cls(model, (c,), (cf.zero,) * -k + (cf.one,))
+
     def _canonical(self) -> tuple:
         """Fully reduced payload (lowest terms, monic denominator)."""
         cf = self.model._cf
@@ -538,7 +547,7 @@ class FieldElement:
         # payload repeated multiplication leaves: c^k*pi^(ik) over 1, and
         # a^k/(b^k*pi^(jk)), fully reduced past _REDUCE_DEGREE
         if num and not any(num[:-1]) and den == (cf.one,):
-            return FieldElement(self.model, (cf.zero,) * ((len(num) - 1) * k) + (cf.pow(num[-1], k),), den)
+            return FieldElement._monomial(self.model, cf.pow(num[-1], k), (len(num) - 1) * k)
         if len(num) == 1 and len(den) > 1 and not any(den[:-1]):
             a, b = cf.pow(num[0], k), cf.pow(den[-1], k)
             zeros = (cf.zero,) * ((len(den) - 1) * k)

@@ -65,6 +65,16 @@ class LaurentPoly:
         return cls(model, n, {})
 
     @classmethod
+    def _of(cls, model, n, terms: dict) -> "LaurentPoly":
+        """Wrap a terms dict that is already clean (exponent tuples of
+        length n, nonzero coefficients of the model); no copy, no check."""
+        out = cls.__new__(cls)
+        out.model = model
+        out.n = n
+        out.terms = terms
+        return out
+
+    @classmethod
     def one(cls, model, n) -> "LaurentPoly":
         return cls.constant(model, n, 1)
 
@@ -101,16 +111,12 @@ class LaurentPoly:
                 terms.pop(exps, None)
             else:
                 terms[exps] = coeff
-        out = LaurentPoly.zero(self.model, self.n)
-        out.terms = terms
-        return out
+        return LaurentPoly._of(self.model, self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.zero(self.model, self.n)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._of(self.model, self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -131,9 +137,7 @@ class LaurentPoly:
                     terms.pop(e, None)
                 else:
                     terms[e] = c
-        out = LaurentPoly.zero(self.model, self.n)
-        out.terms = terms
-        return out
+        return LaurentPoly._of(self.model, self.n, terms)
 
     __rmul__ = __mul__
 
@@ -142,9 +146,7 @@ class LaurentPoly:
         if len(self.terms) == 1:
             # c*t^I goes straight to c^k*t^(kI), for every integer k
             (exps, coeff), = self.terms.items()
-            out = LaurentPoly.zero(self.model, self.n)
-            out.terms = {tuple(k * e for e in exps): coeff ** k}
-            return out
+            return LaurentPoly._of(self.model, self.n, {tuple(k * e for e in exps): coeff ** k})
         if k < 0:
             raise DomainError("negative powers require a single-term Laurent polynomial")
         result = LaurentPoly.one(self.model, self.n)
@@ -185,26 +187,22 @@ class LaurentPoly:
             c = coeff * exps[i - 1]
             if not c.is_zero:
                 terms[exps] = c
-        out = LaurentPoly.zero(self.model, self.n)
-        out.terms = terms
-        return out
+        return LaurentPoly._of(self.model, self.n, terms)
 
     def shift(self, exps) -> "LaurentPoly":
         """Multiply by the monomial t^exps (exact, always invertible)."""
         exps = tuple(int(e) for e in exps)
         if len(exps) != self.n:
             raise DomainError("shift vector has wrong length")
-        out = LaurentPoly.zero(self.model, self.n)
-        out.terms = {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._of(
+            self.model, self.n, {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()}
+        )
 
     def scale(self, coeff) -> "LaurentPoly":
         coeff = self.model.elem(coeff)
         if coeff.is_zero:
             return LaurentPoly.zero(self.model, self.n)
-        out = LaurentPoly.zero(self.model, self.n)
-        out.terms = {e: c * coeff for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._of(self.model, self.n, {e: c * coeff for e, c in self.terms.items()})
 
     # -- rendering -----------------------------------------------------------
 

@@ -6,12 +6,14 @@ Tropicalizing a pluriform in identity-chart coordinates keeps one term
 constant; evaluating the resulting min-plus polynomial at rational radii
 reproduces the Kahler norm at the corresponding monomial point, exactly.
 
-Minimizing a min-plus polynomial over a rational polytope needs exact
-LPs only to show the polytope nonempty and bounded; every term's minimum
-is then read off the exact vertex list.  Every affine term dominates the
-minimum on the whole polytope, so each term attaining the optimum does so
-exactly on a face; the locus of minimality (maximality of the
-multiplicative norm) is the union of those faces.
+Minimizing a min-plus polynomial over a rational polytope needs no LP
+when the polytope has a vertex: the vertex pass shows it nonempty, exact
+solves over the constraint rows show its recession cone is zero, and
+every term's minimum is read off the exact vertex list.  One feasibility
+LP names the failure when there is no vertex.  Every affine term
+dominates the minimum on the whole polytope, so each term attaining the
+optimum does so exactly on a face; the locus of minimality (maximality of
+the multiplicative norm) is the union of those faces.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 
-from .errors import DomainError, InvariantError
-from .forms import MonomialChart, Pluriform
+from .errors import DomainError
+from .forms import MonomialChart, Pluriform, _int_det
 from .laurent import gauss_val
-from .lp import INFEASIBLE, UNBOUNDED, lp_min
+from .lp import INFEASIBLE, lp_min
 from .values import INF, Val
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
     "min_locus",
     "retract",
     "polytope_vertices",
+    "bounded_vertices",
 ]
 
 
@@ -100,7 +105,7 @@ def trop_eval(poly: TropPoly, rho) -> Val:
 class RationalPolytope:
     """A polyhedron { rho : <a_i, rho> <= b_i } with exact rational data.
     Boundedness and nonemptiness are not construction invariants; they are
-    checked where required (min_locus)."""
+    checked where required (bounded_vertices)."""
 
     __slots__ = ("n", "constraints")
 
@@ -185,18 +190,51 @@ def polytope_vertices(p: RationalPolytope) -> tuple:
     return tuple(sorted(seen))
 
 
-def _require_nonempty_bounded(p: RationalPolytope):
-    """One LP per signed coordinate direction (one feasibility LP in
-    dimension 0); the first reads INFEASIBLE exactly when p is empty."""
-    a = [list(row) for row, _ in p.constraints]
-    b = [bb for _, bb in p.constraints]
-    directions = [[sign if j == i else 0 for j in range(p.n)] for i in range(p.n) for sign in (1, -1)]
-    for c in directions or [[]]:
-        status, _, _ = lp_min(c, a, b)
-        if status == INFEASIBLE:
-            raise DomainError("empty polytope")
-        if status == UNBOUNDED:
-            raise DomainError("unbounded polyhedron; a bounded polytope is required")
+def bounded_vertices(p: RationalPolytope) -> tuple:
+    """The vertices of p, once p is shown nonempty and bounded (DomainError
+    otherwise).
+
+    A vertex makes p nonempty and its constraint matrix A of rank n, so
+    the recession cone {d : A d <= 0} is pointed.  If the cone holds some
+    d != 0, the simplex method run from a vertex towards -d ends on an
+    unbounded edge: a ray whose direction is spanned by n - 1 independent
+    rows tight at that vertex.  So p is bounded unless, for such rows, the
+    d they span has d or -d in the cone.  Without a vertex, p is empty or
+    holds a line, and one feasibility LP tells which."""
+    verts = polytope_vertices(p)
+    if verts and not (p.n and _has_unbounded_edge(p, verts)):
+        return verts
+    # in dimension 0 the point () is a vertex whenever p is nonempty
+    if not verts and (not p.n or lp_min([0] * p.n, [list(a) for a, _ in p.constraints],
+                                        [b for _, b in p.constraints])[0] == INFEASIBLE):
+        raise DomainError("empty polytope")
+    raise DomainError("unbounded polyhedron; a bounded polytope is required")
+
+
+def _has_unbounded_edge(p: RationalPolytope, verts) -> bool:
+    """Whether an edge of p leaves one of its vertices along a direction of
+    the recession cone (p.n >= 1).  Rows are scaled to integers, which
+    keeps the cone, and the direction d spanned by n - 1 of them is their
+    generalized cross product: d_j = (-1)^j * (the minor without column
+    j), zero exactly when the rows are dependent."""
+    rows = []
+    for a, _ in p.constraints:
+        s = lcm(*(x.denominator for x in a))
+        rows.append([int(x * s) for x in a])
+    seen = set()
+    for v in verts:
+        for subset in combinations(p.tight_set(v), p.n - 1):
+            if subset in seen:
+                continue
+            seen.add(subset)
+            edge = [rows[i] for i in subset]
+            d = [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in edge]) for j in range(p.n)]
+            if not any(d):
+                continue
+            dots = [sum(map(mul, a, d)) for a in rows]
+            if all(x <= 0 for x in dots) or all(x >= 0 for x in dots):
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -223,22 +261,19 @@ def min_locus(poly: TropPoly, p: RationalPolytope):
     """Exact minimum of the min-plus polynomial over the polytope, with the
     locus where it is attained.
 
-    Once LPs have shown P nonempty and bounded, every affine term attains
-    its minimum over P at a vertex, so one pass over the exact vertex list
-    gives each term's minimum and m_star.  Since each term bounds the
-    function from above and m_star bounds it from below on all of P, the
-    attainment set of each optimal term is the face of P exposed by that
-    term.  Faces are reported by their tight constraint sets with vertex
+    Once bounded_vertices has shown P nonempty and bounded (by linear
+    algebra on the vertex pass; an LP runs only when P has no vertex),
+    every affine term attains its minimum over P at a vertex, so one pass
+    over the exact vertex list gives each term's minimum and m_star.
+    Since each term bounds the function from above and m_star bounds it
+    from below on all of P, the attainment set of each optimal term is the
+    face of P exposed by that term.  Faces are reported by their tight constraint sets with vertex
     lists, deduplicated, in lexicographic tight-set order."""
     if poly.n != p.n:
         raise DomainError("tropical polynomial and polytope dimensions disagree")
     if not poly.terms:
         raise DomainError("empty tropical polynomial has no minimum")
-    _require_nonempty_bounded(p)
-
-    verts = polytope_vertices(p)
-    if not verts:
-        raise InvariantError("a nonempty bounded polytope has a vertex")
+    verts = bounded_vertices(p)
     values = [
         [c + sum(e * x for e, x in zip(exps, v)) for v in verts]
         for c, exps in poly.terms

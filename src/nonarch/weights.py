@@ -113,9 +113,7 @@ class KummerDivisorialSpec:
                 terms.pop(key, None)
             else:
                 terms[key] = coeff
-        out = LaurentPoly.zero(self.model, 2 * self.n)
-        out.terms = terms
-        return out
+        return LaurentPoly._of(self.model, 2 * self.n, terms)
 
     def value(self, g: LaurentPoly) -> Val:
         """v_K(g): all Gauss coordinates have unit radius, so the value is

@@ -237,6 +237,42 @@ def test_grid_zero_steps_is_named(tmp_path, capsys):
     assert "positive number of steps" in err
 
 
+def test_grid_refuses_unbounded_and_empty_regions(tmp_path, capsys):
+    form = write(tmp_path, "f.json", {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "t1"}]})
+    halfline = write(tmp_path, "h.json", {"n": 1, "constraints": [{"a": ["-1"], "b": "0"}]})
+    empty = write(tmp_path, "e.json", {"n": 1, "constraints": [{"a": ["1"], "b": "0"},
+                                                               {"a": ["-1"], "b": "-1"}]})
+    for region, message in ((halfline, "unbounded polyhedron"), (empty, "empty polytope")):
+        for command in ("grid", "max-locus"):
+            code, out, err = invoke(capsys, command, "--grid", "4", "--polytope", region, "--form", form)
+            assert code == 3 and not out
+            assert message in err
+
+
+def test_grid_flat_axis_holds_one_value(tmp_path, capsys):
+    form = write(tmp_path, "f.json", {"l": 2, "m": 1, "entries": [{"e": [[1, 2]], "coeff": "t1 + pi*t2"}]})
+    segment = write(tmp_path, "s.json", {"n": 2, "constraints": [
+        {"a": ["1", "0"], "b": "1"}, {"a": ["-1", "0"], "b": "0"},
+        {"a": ["0", "1"], "b": "0"}, {"a": ["0", "-1"], "b": "0"}]})
+    code, out, _ = invoke(capsys, "grid", "--grid", "2", "--polytope", segment, "--form", form)
+    assert code == 0
+    assert out.splitlines() == ["rho1,rho2,value", "0,0,0", "1/2,0,1/2", "1,0,1"]
+    point = write(tmp_path, "p.json", {"n": 1, "constraints": [{"a": ["1"], "b": "2"},
+                                                               {"a": ["-1"], "b": "-2"}]})
+    code, out, _ = invoke(capsys, "grid", "--grid", "3", "--n", "1", "--polytope", point, "--form",
+                          write(tmp_path, "g.json", {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "t1"}]}))
+    assert code == 0
+    assert out.splitlines() == ["rho1,value", "2,2"]
+
+
+@pytest.mark.parametrize("coeff, column", [("\u00b2", 1), ("t\u00b2", 1), ("t1^\u00b2", 4)])
+def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys, coeff, column):
+    form = write(tmp_path, "f.json", {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": coeff}]})
+    code, out, err = invoke(capsys, "trop", "--n", "1", "--form", form)
+    assert code == 2 and not out
+    assert f"line 1, column {column}" in err
+
+
 # (argv with {file} placeholders, a phrase the message must hold)
 ESCAPES = [
     (["smith", "--field", "padic:2", "--matrix", "{empty}"], "missing key 'entries'"),
@@ -272,7 +308,7 @@ def test_malformed_documents_keep_the_exit_contract(tmp_path, capsys, argv, phra
 _KEYS = ["n", "l", "m", "entries", "e", "coeff", "nvars", "M", "L", "divisors", "free_rank",
          "coords", "constraints", "a", "b", "g", "substitutions"]
 _SNIPPETS = ["t1", "1 + t1^-2", "pi^3*t1", "2^-400", "t1 +", "(", "", "3/4", "pi", "s1", "t2*t1",
-             "1/0", "5", "0", "x"]
+             "1/0", "5", "0", "x", "\u00b2", "t\u00b2", "t1^\u00b2"]
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 6), st.sampled_from(_SNIPPETS),
                      st.sampled_from([0.5, 1.0, float("nan")]))
 _small = st.one_of(st.integers(-1, 3), st.sampled_from(["2", "x", None, [1]]))

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from expr_oracle import parse_poly_oracle
 from nonarch.errors import ParseError
 from nonarch.expr import parse_poly, poly_to_expr
 from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
@@ -82,3 +84,86 @@ def test_round_trip(model):
         f = _random_printable_poly(rng, model, n)
         text = poly_to_expr(f)
         assert parse_poly(text, model, n) == f
+
+
+@pytest.mark.parametrize("text, column", [
+    ("\u00b2", 1), ("t\u00b2", 1), ("t1^\u00b2", 4), ("3*t1\u00b2", 3), ("1 + \u00b9", 5),
+])
+def test_non_decimal_digits_are_parse_errors(text, column):
+    # superscripts pass str.isdigit() but not int(); they must not escape
+    # as a bare ValueError
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, pi_adic_q(), 2)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_other_decimal_digits_still_parse():
+    k = pi_adic_q()
+    assert parse_poly("\u0663*t\u0661", k, 1) == LaurentPoly.variable(k, 1, 1) * 3
+
+
+_MODELS = [trivial_q(), p_adic_q(2), p_adic_q(5), pi_adic_q(), pi_adic_fp(2), pi_adic_fp(3)]
+_exponents = st.sampled_from(["", "", "", "", "^0", "^1", "^2", "^3", "^-1", "^-2"])
+_JUNK = [")", "(", "^", "*", " t1", "/", "\n", "+", "0^-1", "pi", "$"]
+
+
+@st.composite
+def _expressions(draw):
+    """A model, a ring (n, variable family) and an expression over it:
+    mostly well formed, with rare zero denominators, unknown or out-of-range
+    variables, and one optional junk token spliced in."""
+    model = draw(st.sampled_from(_MODELS))
+    n = draw(st.integers(0, 3))
+    variables = draw(st.sampled_from(["t", "s", "ts"]))
+    names = [f"{f}{i}" for f in ("t", "s") if f in variables for i in range(1, n + 1)]
+    names += ["pi"] * (2 if model.has_pi else 0)
+    atoms = st.one_of(
+        st.integers(1, 12).map(str),
+        st.tuples(st.integers(0, 12), st.integers(1, 6)).map(lambda q: f"{q[0]}/{q[1]}"),
+        *([st.sampled_from(names)] * 3 if names else []),
+    )
+    if draw(st.integers(0, 3)) == 0:
+        atoms = st.one_of(atoms, st.sampled_from(["0", "1/0", "t0", "t4", "s1", "x1", "pi"]))
+    powers = st.tuples(atoms, _exponents).map("".join)
+    ops = st.sampled_from(["+", "-", " - ", " + "])
+
+    def sums(term):
+        return st.tuples(term, st.lists(st.tuples(ops, term), max_size=4)).map(
+            lambda sum_: sum_[0] + "".join(op + t for op, t in sum_[1]))
+
+    text = draw(sums(st.recursive(powers, lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=4).map("*".join),
+        inner.map(lambda term: "-" + term),
+        st.tuples(sums(inner), _exponents).map(lambda pair: f"({pair[0]}){pair[1]}"),
+    ), max_leaves=8)))
+    if draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_JUNK)) + text[at:]
+    return model, n, variables, text
+
+
+def _outcome(parse, text, model, n, variables):
+    try:
+        f = parse(text, model, n, variables)
+    except ValueError as exc:  # ParseError, or any other error escaping the parser
+        return ("error", type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    return ("ok", f, str(f), hash(f), list(f.terms), [str(c) for c in f.terms.values()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions())
+def test_parse_matches_the_factorwise_oracle(case):
+    model, n, variables, text = case
+    assert _outcome(parse_poly, text, model, n, variables) == \
+        _outcome(parse_poly_oracle, text, model, n, variables)
+
+
+@pytest.mark.parametrize("model", _MODELS)
+@pytest.mark.parametrize("text", [
+    "0^-1", "0^0", "2^-1", "3/2*t1", "-2^2*-t1", "t1*(t1 - t1)", "(t1 - t1)^-1",
+    "t1 - t1 + t1", "pi^-3*t1^-1*(1 + t1)^2*pi^2", "(pi*t1)^-2 + 1", "1/4 + 3/4",
+    "pi*5/3", "-(t1 + 1)*2", "2*t1*3*t1^-1 - 6",
+])
+def test_parse_matches_the_oracle_on_edge_cases(model, text):
+    assert _outcome(parse_poly, text, model, 1, "t") == _outcome(parse_poly_oracle, text, model, 1, "t")

@@ -331,15 +331,28 @@ _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 @st.composite
 def _polytope_and_poly(draw):
-    """A box with up to three extra cuts (so possibly empty, degenerate or
-    with redundant rows), and a min-plus polynomial on it."""
+    """A min-plus polynomial on a polyhedron of dimension 1..3, built as
+    one of: a box (so possibly empty, degenerate or with redundant rows
+    once cut); a box with some bounds dropped (half-spaces, slabs, rays,
+    lines and cones, rank-deficient when a coordinate keeps no bound);
+    rows parallel to one vector (rank 1); or cuts alone.  Up to three
+    extra cuts are added to each."""
     n = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["box", "open box", "parallel", "cuts"]))
     constraints = []
-    for i in range(n):
-        lo = draw(st.integers(-2, 1))
-        hi = lo + draw(st.integers(0, 3))
-        unit = [Fraction(int(j == i)) for j in range(n)]
-        constraints += [(unit, Fraction(hi)), ([-x for x in unit], Fraction(-lo))]
+    if shape in ("box", "open box"):
+        for i in range(n):
+            lo = draw(st.integers(-2, 1))
+            hi = lo + draw(st.integers(0, 3))
+            unit = [Fraction(int(j == i)) for j in range(n)]
+            if shape == "box" or draw(st.booleans()):
+                constraints.append((unit, Fraction(hi)))
+            if shape == "box" or draw(st.booleans()):
+                constraints.append(([-x for x in unit], Fraction(-lo)))
+    elif shape == "parallel":
+        a = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+        for k in draw(st.lists(st.sampled_from([-2, -1, 1, 3]), min_size=1, max_size=3)):
+            constraints.append(([Fraction(k * x) for x in a], draw(_rationals)))
     for _ in range(draw(st.integers(0, 3))):
         a = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
         constraints.append(([Fraction(x) for x in a], draw(_rationals)))
@@ -351,7 +364,7 @@ def _polytope_and_poly(draw):
     return TropPoly(n, terms), RationalPolytope(n, constraints)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_polytope_and_poly())
 def test_min_locus_matches_per_term_lp(case):
     poly, p = case
@@ -362,3 +375,52 @@ def test_min_locus_matches_per_term_lp(case):
             min_locus(poly, p)
         return
     assert min_locus(poly, p) == want
+
+
+@pytest.mark.parametrize("constraints, message", [
+    ([((-1,), 0)], "unbounded polyhedron"),                                    # half-line
+    ([((1, 0), 1), ((-1, 0), 0)], "unbounded polyhedron"),                     # slab, rank 1
+    ([((-1, 0), 0), ((0, -1), 0), ((1, -1), 0)], "unbounded polyhedron"),      # cone with a vertex
+    ([((1, 1), 1), ((-1, -1), -1), ((1, 0), 2), ((-1, 0), 0)], None),          # segment, 2 rows equal
+    ([((1, 1), 0), ((-1, -1), -1)], "empty polytope"),                         # no vertex, rank 1
+    ([((1,), 0), ((-1,), -1)], "empty polytope"),
+    ([], "unbounded polyhedron"),                                              # R^1
+])
+def test_min_locus_bounded_check_named_cases(constraints, message):
+    n = len(constraints[0][0]) if constraints else 1
+    p = RationalPolytope(n, constraints)
+    poly = TropPoly(n, [(0, (1,) * n), (1, (0,) * n)])
+    if message is None:
+        assert min_locus(poly, p) == _min_locus_by_lp(poly, p)
+    else:
+        with pytest.raises(DomainError, match=message):
+            min_locus(poly, p)
+        with pytest.raises(DomainError, match=message):
+            _min_locus_by_lp(poly, p)
+
+
+def test_min_locus_in_dimension_zero():
+    poly = TropPoly(0, [(3, ()), (Fraction(1, 2), ())])
+    assert min_locus(poly, RationalPolytope(0, [((), 1), ((), 0)])) == (
+        Fraction(1, 2), FaceComplex((Face((1,), ((),)),)))
+    assert min_locus(poly, RationalPolytope(0, []))[0] == Fraction(1, 2)
+    with pytest.raises(DomainError, match="empty polytope"):
+        min_locus(poly, RationalPolytope(0, [((), -1)]))
+
+
+def test_min_locus_runs_no_lp_on_a_polytope_with_a_vertex(monkeypatch):
+    import nonarch.tropical as tropical
+
+    def no_lp(*args):
+        raise AssertionError("lp_min called")
+
+    monkeypatch.setattr(tropical, "lp_min", no_lp)
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        for va in (1, Fraction(5, 2)):
+            poly = TropPoly(n, [(rng.randint(-3, 3), tuple(rng.randint(-2, 2) for _ in range(n)))
+                                for _ in range(6)])
+            min_locus(poly, semistable_skeleton(n, va))
+    cone = RationalPolytope(2, [((-1, 0), 0), ((0, -1), 0), ((1, -1), 0)])
+    with pytest.raises(DomainError, match="unbounded polyhedron"):
+        min_locus(TropPoly(2, [(0, (0, 0))]), cone)
