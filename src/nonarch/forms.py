@@ -8,9 +8,12 @@ over slots of the wedge of dt_i/t_i for i in the subset.
 At a monomial point presented by a chart t_i = g_i(s) with Gauss radii
 rho, the logarithmic basis of the s-coordinates is orthonormal, so the
 norm of a pulled-back form is the minimum of the Gauss valuations of its
-coefficients.  The value is the geometric Kahler seminorm whenever the
-chart is residually tame; otherwise it is reported as the chart-basis
-value together with the certificate.
+coefficients.  The Gauss valuation is multiplicative, so that minimum is
+read from the levels and initial parts of the substitutions and of the
+Jacobian minors; the pulled-back coefficients are expanded in full only
+when those initial parts cancel.  The value is the geometric Kahler
+seminorm whenever the chart is residually tame; otherwise it is reported
+as the chart-basis value together with the certificate.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from .errors import DomainError
 from .fields import BaseFieldModel
@@ -280,15 +284,108 @@ def pullback(phi: Pluriform, chart: MonomialChart) -> PullbackResult:
 
 
 def kahler_norm_at(phi: Pluriform, chart: MonomialChart) -> Val:
-    """Norm of phi at the monomial point of the chart: after pulling back,
-    the minimum over basis indices of the Gauss valuation of the
-    coefficient, minus the Gauss valuation of the common denominator.
-    INF exactly for the zero form."""
+    """Norm of phi at the monomial point of the chart: the minimum over
+    chart basis indices of the Gauss valuation of the pulled-back
+    coefficient.  INF exactly for the zero form.
+
+    The coefficient at a chart index is a sum of summands
+    a * prod g_i^(I_i - w_e,i) * prod(minors of the logarithmic Jacobian),
+    one for each basis index e of phi, term a*t^I of its coefficient and
+    choice of nonzero minors (w_e,i counts the slots of e holding i).  The
+    Gauss valuation is multiplicative, so each summand has an exact level
+    val(a) + sum k_i v(g_i) + sum v(minor), and the least level L over all
+    chart indices bounds the norm from below.  The norm is L unless, at
+    every index attaining L, the initial parts of the summands at level L
+    cancel: products of the terms at minimal level of the g_i and of the
+    minors, shifted by powers of the initial parts of the g_i to clear
+    negative exponents (the graded ring is a domain, so neither the
+    products nor the shift can vanish).  A single summand at level L needs
+    no product at all.  Only when every such sum cancels is phi pulled
+    back in full (pullback) to read the norm."""
+    if phi.model != chart.model or phi.n != chart.n:
+        raise DomainError("form and chart live on different tori")
+    model, n, l = phi.model, phi.n, phi.l
+    rho = chart.rho
+    subs = chart.substitutions
+    initial = [_initial(g, rho) for g in subs]
+    g_level = [level for level, _ in initial]
+    g_init = [init for _, init in initial]
+    targets = list(combinations(range(1, n + 1), l))
+    logd = [[g.log_derivative(j + 1) for j in range(n)] for g in subs]
+    # (target, level, initial part) of each nonzero minor, by source subset
+    minors = {}
+    for source in {subset for e in phi.coeffs for subset in e}:
+        minors[source] = []
+        for target in targets:
+            d = (_det_laurent([[logd[i - 1][j - 1] for j in target] for i in source])
+                 if l else LaurentPoly.one(model, n))
+            if not d.is_zero:
+                minors[source].append((target,) + _initial(d, rho))
+
+    low, attaining = None, {}
+    for e, coeff in phi.coeffs.items():
+        w_e = [sum(1 for subset in e if i in subset) for i in range(1, n + 1)]
+        terms = []
+        for exps, a in coeff.terms.items():
+            k = [x - w for x, w in zip(exps, w_e)]
+            terms.append((a.val().fraction + sum(map(mul, k, g_level)), k, a))
+        base = min(level for level, _, _ in terms)
+        lowest = [(k, a) for level, k, a in terms if level == base]
+        for choice in product(*(minors[subset] for subset in e)):
+            level = base + sum(c[1] for c in choice)
+            if low is None or level < low:
+                low, attaining = level, {}
+            if level == low:
+                combo = tuple(c[0] for c in choice)
+                attaining.setdefault(combo, []).append((lowest, [c[2] for c in choice]))
+    if low is None:
+        return INF
+    for summands in attaining.values():
+        if len(summands) == 1 and len(summands[0][0]) == 1:
+            return Val(low)
+        if _initial_sum_survives(summands, g_level, g_init, low, rho):
+            return Val(low)
+
     pulled = pullback(phi, chart)
     if pulled.form.is_zero:
         return INF
     best = vmin(gauss_val(c, chart.rho) for c in pulled.form.coeffs.values())
     return best - gauss_val(pulled.denominator, chart.rho)
+
+
+def _initial(f: LaurentPoly, rho) -> tuple:
+    """The Gauss valuation of a nonzero f at rho, as a Fraction, and its
+    initial part: the terms of f at that level."""
+    levels = {exps: c.val().fraction + sum(map(mul, exps, rho)) for exps, c in f.terms.items()}
+    low = min(levels.values())
+    return low, LaurentPoly._of(f.model, f.n, {
+        exps: f.terms[exps] for exps, level in levels.items() if level == low})
+
+
+def _initial_sum_survives(summands, g_level, g_init, low, rho) -> bool:
+    """Whether the level-`low` initial parts of the summands of one chart
+    index add up to a nonzero initial form.  Each summand is a * prod
+    in(g_i)^(k_i + s_i) * prod in(minor); the shift s_i clears the negative
+    powers of the multi-term in(g_i) and raises every product by the same
+    sum s_i v(g_i)."""
+    shift = [0] * len(g_init)
+    for lowest, _ in summands:
+        for k, _ in lowest:
+            for i, (x, g) in enumerate(zip(k, g_init)):
+                if len(g.terms) > 1:
+                    shift[i] = max(shift[i], -x)
+    total = None
+    for lowest, inits in summands:
+        tail = None
+        for d in inits:
+            tail = d if tail is None else tail * d
+        for k, a in lowest:
+            f = tail.scale(a)
+            for x, s, g in zip(k, shift, g_init):
+                if x + s:
+                    f = f * g ** (x + s)
+            total = f if total is None else total + f
+    return not total.is_zero and _initial(total, rho)[0] == low + sum(map(mul, shift, g_level))
 
 
 def _int_det(rows) -> int:
@@ -316,21 +413,23 @@ def _int_det(rows) -> int:
 def tame_certificate(chart: MonomialChart) -> TameStatus:
     """Residual-tameness certificate for the chart.
 
-    Residue characteristic zero is always tame.  For a purely monomial
-    substitution t_i = c_i * s^{L_i} the norm of the canonical wedge is
-    |det L|, so the chart is tame iff val(det L) = 0; a singular exponent
-    matrix is rejected (not a chart).  For general substitutions in
-    positive residue characteristic no decision procedure is attempted."""
-    if chart.model.residue_char == 0:
-        return TameStatus.TAME
+    For a purely monomial substitution t_i = c_i * s^{L_i} the norm of the
+    canonical wedge is |det L|, so the chart is tame iff val(det L) = 0; a
+    singular exponent matrix is rejected (not a chart) in every residue
+    characteristic.  Otherwise residue characteristic zero is always tame,
+    and for general substitutions in positive residue characteristic no
+    decision procedure is attempted."""
+    tame_char = chart.model.residue_char == 0
     exps = []
     for g in chart.substitutions:
         if len(g.terms) != 1:
-            return TameStatus.UNKNOWN
+            return TameStatus.TAME if tame_char else TameStatus.UNKNOWN
         (e, _coeff), = g.terms.items()
         exps.append(e)
     det = _int_det(exps) if chart.n else 1
     if det == 0:
         raise DomainError("degenerate monomial substitution: exponent matrix is singular")
+    if tame_char:
+        return TameStatus.TAME
     v = chart.model.elem(det).val()
     return TameStatus.TAME if v == Val(0) else TameStatus.WILD

@@ -7,13 +7,15 @@ constant; evaluating the resulting min-plus polynomial at rational radii
 reproduces the Kahler norm at the corresponding monomial point, exactly.
 
 Minimizing a min-plus polynomial over a rational polytope needs no LP
-when the polytope has a vertex: the vertex pass shows it nonempty, exact
-solves over the constraint rows show its recession cone is zero, and
-every term's minimum is read off the exact vertex list.  One feasibility
-LP names the failure when there is no vertex.  Every affine term
-dominates the minimum on the whole polytope, so each term attaining the
-optimum does so exactly on a face; the locus of minimality (maximality of
-the multiplicative norm) is the union of those faces.
+when the polytope has a vertex.  One integer vertex pass (constraint rows
+scaled to integers once, fraction-free solves, one tight set per vertex)
+shows it nonempty; integer cross products of the rows tight at a vertex
+show its recession cone is zero; and every term is scored at every vertex
+as one integer over a common denominator.  One feasibility LP names the
+failure when there is no vertex.  Every affine term dominates the
+minimum on the whole polytope, so each term attaining the optimum does
+so exactly on a face; the locus of minimality (maximality of the
+multiplicative norm) is the union of those faces.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import itemgetter, mul
 
 from .errors import DomainError
 from .forms import MonomialChart, Pluriform, _int_det
@@ -157,37 +159,83 @@ def semistable_skeleton(n: int, va) -> RationalPolytope:
     return RationalPolytope(n, constraints)
 
 
-def _solve_square(rows, rhs):
-    """Solve an n x n rational system; None when singular."""
-    n = len(rhs)
-    a = [list(r) + [v] for r, v in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _vertex_pass(p: RationalPolytope):
+    """The integer vertex pass behind polytope_vertices, bounded_vertices
+    and min_locus.
+
+    Each constraint (a, b) is scaled once by the lcm of its denominators
+    to an integer row (A, B); the scaling keeps the polyhedron and the
+    tight sets.  Each n-subset of rows is solved by fraction-free
+    Gauss-Jordan elimination (_solve_int), giving the candidate as
+    nums / den with den > 0.  The same integer dots A . nums, set against
+    B * den, decide containment and give the tight set, so every distinct
+    vertex is tested once, keyed by its gcd-normalised (nums, den).
+
+    Returns (rows, found): the integer rows, and for each vertex in sorted
+    order the tuple (vertex as Fractions, nums, den, tight set)."""
+    n = p.n
+    rows = []
+    for a, b in p.constraints:
+        s = lcm(b.denominator, *(x.denominator for x in a))
+        rows.append(([x.numerator * (s // x.denominator) for x in a],
+                     b.numerator * (s // b.denominator)))
+    seen = set()
+    found = []
+    for subset in combinations(rows, n):
+        solved = _solve_int(subset, n)
+        if solved is None:
+            continue
+        nums, den = solved
+        g = gcd(den, *nums)
+        if g > 1:
+            nums, den = [x // g for x in nums], den // g
+        key = (den, *nums)
+        if key in seen:
+            continue
+        seen.add(key)
+        tight = []
+        for i, (a, b) in enumerate(rows):
+            dot, bound = sum(map(mul, a, nums)), b * den
+            if dot > bound:
+                break
+            if dot == bound:
+                tight.append(i)
+        else:
+            found.append((tuple(Fraction(x, den) for x in nums), nums, den, tuple(tight)))
+    found.sort(key=itemgetter(0))
+    return rows, found
+
+
+def _solve_int(subset, n):
+    """Solve the square integer system of the rows (a, b) by fraction-free
+    Gauss-Jordan (Bareiss) elimination: (nums, den) with den > 0 and
+    x = nums / den, or None when the rows are dependent.  Every entry is a
+    minor of the augmented matrix, so each division is exact, and the last
+    pivot is the determinant."""
+    m = [a + [b] for a, b in subset]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
         if piv is None:
             return None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        m[k], m[piv] = m[piv], m[k]
+        top = m[k]
+        head = top[k]
         for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
+            if r != k:
+                row = m[r]
+                f = row[k]
+                row[k + 1:] = [(head * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = head
+    if prev < 0:
+        return [-row[n] for row in m], -prev
+    return [row[n] for row in m], prev
 
 
 def polytope_vertices(p: RationalPolytope) -> tuple:
     """All vertices, by exact enumeration of n-subsets of constraints.
     Sorted for determinism."""
-    seen = set()
-    cons = p.constraints
-    for subset in combinations(range(len(cons)), p.n):
-        rows = [cons[i][0] for i in subset]
-        rhs = [cons[i][1] for i in subset]
-        point = _solve_square(rows, rhs)
-        if point is not None and p.contains(point):
-            seen.add(point)
-    return tuple(sorted(seen))
+    return tuple(v[0] for v in _vertex_pass(p)[1])
 
 
 def bounded_vertices(p: RationalPolytope) -> tuple:
@@ -201,37 +249,39 @@ def bounded_vertices(p: RationalPolytope) -> tuple:
     rows tight at that vertex.  So p is bounded unless, for such rows, the
     d they span has d or -d in the cone.  Without a vertex, p is empty or
     holds a line, and one feasibility LP tells which."""
-    verts = polytope_vertices(p)
-    if verts and not (p.n and _has_unbounded_edge(p, verts)):
-        return verts
+    return tuple(v[0] for v in _bounded_pass(p))
+
+
+def _bounded_pass(p: RationalPolytope) -> list:
+    """The vertex pass of a polytope shown nonempty and bounded, as
+    bounded_vertices describes."""
+    rows, found = _vertex_pass(p)
+    if found and not (p.n and _has_unbounded_edge(rows, found, p.n)):
+        return found
     # in dimension 0 the point () is a vertex whenever p is nonempty
-    if not verts and (not p.n or lp_min([0] * p.n, [list(a) for a, _ in p.constraints],
+    if not found and (not p.n or lp_min([0] * p.n, [list(a) for a, _ in p.constraints],
                                         [b for _, b in p.constraints])[0] == INFEASIBLE):
         raise DomainError("empty polytope")
     raise DomainError("unbounded polyhedron; a bounded polytope is required")
 
 
-def _has_unbounded_edge(p: RationalPolytope, verts) -> bool:
+def _has_unbounded_edge(rows, found, n) -> bool:
     """Whether an edge of p leaves one of its vertices along a direction of
-    the recession cone (p.n >= 1).  Rows are scaled to integers, which
-    keeps the cone, and the direction d spanned by n - 1 of them is their
-    generalized cross product: d_j = (-1)^j * (the minor without column
-    j), zero exactly when the rows are dependent."""
-    rows = []
-    for a, _ in p.constraints:
-        s = lcm(*(x.denominator for x in a))
-        rows.append([int(x * s) for x in a])
+    the recession cone (n >= 1), from the integer rows and the stored
+    tight sets of the vertex pass.  The direction d spanned by n - 1 rows
+    is their generalized cross product: d_j = (-1)^j * (the minor without
+    column j), zero exactly when the rows are dependent."""
     seen = set()
-    for v in verts:
-        for subset in combinations(p.tight_set(v), p.n - 1):
+    for *_, tight in found:
+        for subset in combinations(tight, n - 1):
             if subset in seen:
                 continue
             seen.add(subset)
-            edge = [rows[i] for i in subset]
-            d = [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in edge]) for j in range(p.n)]
+            edge = [rows[i][0] for i in subset]
+            d = [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in edge]) for j in range(n)]
             if not any(d):
                 continue
-            dots = [sum(map(mul, a, d)) for a in rows]
+            dots = [sum(map(mul, a, d)) for a, _ in rows]
             if all(x <= 0 for x in dots) or all(x >= 0 for x in dots):
                 return True
     return False
@@ -261,36 +311,42 @@ def min_locus(poly: TropPoly, p: RationalPolytope):
     """Exact minimum of the min-plus polynomial over the polytope, with the
     locus where it is attained.
 
-    Once bounded_vertices has shown P nonempty and bounded (by linear
-    algebra on the vertex pass; an LP runs only when P has no vertex),
-    every affine term attains its minimum over P at a vertex, so one pass
-    over the exact vertex list gives each term's minimum and m_star.
-    Since each term bounds the function from above and m_star bounds it
-    from below on all of P, the attainment set of each optimal term is the
-    face of P exposed by that term.  Faces are reported by their tight constraint sets with vertex
-    lists, deduplicated, in lexicographic tight-set order."""
+    Once the vertex pass has shown P nonempty and bounded (by integer
+    linear algebra; an LP runs only when P has no vertex), every affine
+    term attains its minimum over P at a vertex, so one pass over the
+    vertex list gives each term's minimum and m_star.  Each term is scored
+    at each vertex nums / den as one integer over the common denominator
+    C * D, where C clears the term constants and D the vertex
+    denominators.  Since each term bounds the function from above and
+    m_star bounds it from below on all of P, the attainment set of each
+    optimal term is the face of P exposed by that term; its tight set is
+    the intersection of the tight sets the vertex pass stored for the
+    attaining vertices.  Faces are reported by their tight constraint sets
+    with vertex lists, deduplicated, in lexicographic tight-set order."""
     if poly.n != p.n:
         raise DomainError("tropical polynomial and polytope dimensions disagree")
     if not poly.terms:
         raise DomainError("empty tropical polynomial has no minimum")
-    verts = bounded_vertices(p)
-    values = [
-        [c + sum(e * x for e, x in zip(exps, v)) for v in verts]
+    found = _bounded_pass(p)
+    big_c = lcm(*(c.denominator for c, _ in poly.terms))
+    big_d = lcm(*(den for _, _, den, _ in found))
+    weights = [(big_d // den * big_c, nums) for _, nums, den, _ in found]
+    scores = [
+        [c.numerator * (big_c // c.denominator) * big_d + w * sum(map(mul, exps, nums))
+         for w, nums in weights]
         for c, exps in poly.terms
     ]
-    m_star = min(min(row) for row in values)
+    low = min(min(row) for row in scores)
 
     faces = {}
-    for row in values:
-        attain = tuple(v for v, value in zip(verts, row) if value == m_star)
+    for row in scores:
+        attain = [v for v, score in zip(found, row) if score == low]
         if not attain:
             continue
-        tight = sorted(
-            set(p.tight_set(attain[0])).intersection(*(p.tight_set(v) for v in attain))
-        )
-        faces[tuple(tight)] = Face(tuple(tight), attain)
+        tight = tuple(sorted(set(attain[0][3]).intersection(*(v[3] for v in attain[1:]))))
+        faces[tight] = Face(tight, tuple(v[0] for v in attain))
     ordered = tuple(faces[k] for k in sorted(faces))
-    return m_star, FaceComplex(ordered)
+    return Fraction(low, big_c * big_d), FaceComplex(ordered)
 
 
 def prune_never_minimal(poly: TropPoly, p: RationalPolytope) -> TropPoly:

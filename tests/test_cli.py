@@ -137,6 +137,21 @@ def test_retract_and_tame_check(tmp_path, capsys):
     assert json.loads(out) == {"certificate": "wild"}
 
 
+@pytest.mark.parametrize("field", ["padic:2", "piadic-q", "trivial"])
+@pytest.mark.parametrize("command", ["tame-check", "eval-norm"])
+def test_degenerate_monomial_chart_is_refused(tmp_path, capsys, field, command):
+    """t1 = t2 = s1*s2 is not a chart in any residue characteristic, so
+    neither its certificate nor the norm of (t1 + t2) dt1/t1 ^ dt2/t2 is
+    reported."""
+    chart = write(tmp_path, "c.json", {"substitutions": ["s1*s2", "s1*s2"]})
+    form = write(tmp_path, "f.json", {"l": 2, "m": 1, "entries": [{"e": [[1, 2]], "coeff": "t1 + t2"}]})
+    code, out, err = invoke(capsys, command, "--field", field, "--n", "2", "--point", "1,1",
+                            "--chart", chart, "--form", form)
+    assert code == 3
+    assert out == ""
+    assert "exponent matrix is singular" in err
+
+
 def test_trop_and_grid(tmp_path, capsys):
     form = write(tmp_path, "f.json", {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "1 + t1"}]})
     code, out, _ = invoke(capsys, "trop", "--field", "piadic-q", "--n", "1", "--form", form)

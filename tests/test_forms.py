@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonarch.errors import DomainError
-from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q
+from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
 from nonarch.forms import (
     MonomialChart,
     Pluriform,
@@ -182,11 +184,12 @@ def test_tame_certificate_examples():
     sf = LaurentPoly.variable(kf, 1, 1)
     assert tame_certificate(MonomialChart(kf, [sf ** 2], (1,))) == TameStatus.WILD
 
-    k2 = p_adic_q(2)
-    s2a = LaurentPoly.variable(k2, 2, 1)
-    s2b = LaurentPoly.variable(k2, 2, 2)
-    with pytest.raises(DomainError):
-        tame_certificate(MonomialChart(k2, [s2a * s2b, s2a * s2b], (1, 1)))
+    # a singular exponent matrix is not a chart, in every residue characteristic
+    for model in (p_adic_q(2), pi_adic_q(), trivial_q()):
+        s2a = LaurentPoly.variable(model, 2, 1)
+        s2b = LaurentPoly.variable(model, 2, 2)
+        with pytest.raises(DomainError, match="exponent matrix is singular"):
+            tame_certificate(MonomialChart(model, [s2a * s2b, s2a * s2b], (1, 1)))
 
 
 def test_determinant_criterion_matches_norm():
@@ -302,3 +305,125 @@ def test_differential_submultiplicative():
         rho = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n))
         chart = MonomialChart.identity(k2, n, rho)
         assert kahler_norm_at(differential(f), chart) >= gauss_val(f, rho)
+
+
+def _kahler_norm_by_pullback(phi, chart):
+    """kahler_norm_at as it was before initial forms: the whole pullback,
+    then the least Gauss value of its coefficients over the denominator's."""
+    pulled = pullback(phi, chart)
+    return INF if pulled.form.is_zero else kahler_norm_at_pair(pulled, chart.rho)
+
+
+_MODELS = [trivial_q(), p_adic_q(2), p_adic_q(5), pi_adic_q(), pi_adic_fp(2), pi_adic_fp(3)]
+
+
+@st.composite
+def _coefficient(draw, model):
+    """A nonzero field element: a small rational unit or multiple of p,
+    times a power of pi on the pi-adic models."""
+    q = Fraction(draw(st.sampled_from([1, -1, 2, 3, 4, Fraction(1, 2), Fraction(-2, 3),
+                                       Fraction(5, 4)])))
+    if model.residue_char and model.has_pi and q.numerator * q.denominator % model.p == 0:
+        q = Fraction(1)
+    c = model.elem(q)
+    if model.has_pi:
+        c = c * model.uniformizer() ** draw(st.integers(-1, 2))
+    return c
+
+
+@st.composite
+def _laurent(draw, model, n, max_terms, lo=-2, hi=2):
+    exps = draw(st.lists(st.lists(st.integers(lo, hi), min_size=n, max_size=n).map(tuple),
+                         min_size=1, max_size=max_terms, unique=True))
+    return LaurentPoly(model, n, {e: draw(_coefficient(model)) for e in exps})
+
+
+@st.composite
+def _form_and_chart(draw):
+    """A pluriform of type (l, m), l = 0..n and m = 1..2, with one to three
+    basis indices, and a chart: the identity, monomial c*s^L (singular L
+    allowed), translated c + s_i, or a mix of those with general
+    substitutions."""
+    model = draw(st.sampled_from(_MODELS))
+    n = draw(st.integers(1, 3))
+    l = draw(st.integers(0, n))
+    m = draw(st.integers(1, 2))
+    subsets = list(combinations(range(1, n + 1), l))
+    index = st.lists(st.sampled_from(subsets), min_size=m, max_size=m).map(tuple)
+    coeffs = {e: draw(_laurent(model, n, 3)) for e in draw(st.lists(index, min_size=1, max_size=3))}
+    phi = Pluriform(model, n, l, m, coeffs)
+    rho = tuple(draw(st.lists(st.fractions(-3, 3, max_denominator=2), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["identity", "monomial", "translated", "mixed"]))
+    subs = []
+    for i in range(1, n + 1):
+        pick = kind if kind != "mixed" else draw(st.sampled_from(["monomial", "translated", "general"]))
+        s_i = LaurentPoly.variable(model, n, i)
+        if pick == "identity":
+            subs.append(s_i)
+        elif pick == "monomial":
+            subs.append(draw(_laurent(model, n, 1)))
+        elif pick == "translated":
+            subs.append(s_i + LaurentPoly.constant(model, n, draw(_coefficient(model))))
+        else:
+            subs.append(draw(_laurent(model, n, 3, -1, 2)))
+    return phi, MonomialChart(model, subs, rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_form_and_chart())
+def test_kahler_norm_matches_the_pullback_oracle(case):
+    phi, chart = case
+    assert kahler_norm_at(phi, chart) == _kahler_norm_by_pullback(phi, chart)
+
+
+def test_kahler_norm_when_initial_forms_cancel(monkeypatch):
+    """t1 - 1 on the chart t1 = 1 + s1 at radius 1: both summands t1 and -1
+    sit at level 0 and their initial parts 1 and -1 cancel, so the norm is
+    v(s1) = 1, read from the full pullback."""
+    import nonarch.forms as forms
+
+    k = pi_adic_q()
+    s = LaurentPoly.variable(k, 1, 1)
+    t = LaurentPoly.variable(k, 1, 1)
+    chart = MonomialChart(k, [1 + s], rho=(1,))
+    phi = Pluriform(k, 1, 0, 1, {((),): t - 1})
+    calls = []
+    monkeypatch.setattr(forms, "pullback", lambda *args: calls.append(args) or pullback(*args))
+    assert kahler_norm_at(phi, chart) == Val(1)
+    assert len(calls) == 1
+    assert _kahler_norm_by_pullback(phi, chart) == Val(1)
+
+
+def test_kahler_norm_without_cancellation_skips_the_pullback(monkeypatch):
+    """Identity charts, and forms with one basis index on monomial charts
+    with a nonsingular exponent matrix, have summands that are distinct
+    monomials, so their initial parts never cancel."""
+    import nonarch.forms as forms
+
+    rng = random.Random(23)
+    cases = []
+    for model in _MODELS:
+        for n in (1, 2, 3):
+            for l in range(n + 1):
+                subsets = list(combinations(range(1, n + 1), l))
+                rho = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+                coeff = LaurentPoly(model, n, {
+                    tuple(rng.randint(-2, 2) for _ in range(n)): model.elem(rng.choice([1, -1]))
+                    for _ in range(4)})
+                e = tuple(rng.choice(subsets) for _ in range(2))
+                several = {tuple(rng.choice(subsets) for _ in range(2)): coeff for _ in range(3)}
+                cases.append((Pluriform(model, n, l, 2, several), MonomialChart.identity(model, n, rho)))
+                while True:
+                    L = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+                    if _det_int(L):
+                        break
+                subs = [LaurentPoly.monomial(model, n, row, model.elem(rng.choice([1, -1])))
+                        for row in L]
+                cases.append((Pluriform(model, n, l, 2, {e: coeff}), MonomialChart(model, subs, rho)))
+    wants = [_kahler_norm_by_pullback(phi, chart) for phi, chart in cases]
+
+    def refuse(*args):
+        raise AssertionError("pullback called")
+
+    monkeypatch.setattr(forms, "pullback", refuse)
+    assert [kahler_norm_at(phi, chart) for phi, chart in cases] == wants

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from nonarch.tropical import (
     FaceComplex,
     RationalPolytope,
     TropPoly,
+    bounded_vertices,
     min_locus,
     polytope_vertices,
     prune_never_minimal,
@@ -23,6 +25,7 @@ from nonarch.tropical import (
     tropicalize,
 )
 from nonarch.values import INF, Val
+from vertex_oracle import bounded_vertices_oracle, min_locus_oracle, polytope_vertices_oracle
 
 
 def test_tropicalize_examples():
@@ -424,3 +427,100 @@ def test_min_locus_runs_no_lp_on_a_polytope_with_a_vertex(monkeypatch):
     cone = RationalPolytope(2, [((-1, 0), 0), ((0, -1), 0), ((1, -1), 0)])
     with pytest.raises(DomainError, match="unbounded polyhedron"):
         min_locus(TropPoly(2, [(0, (0, 0))]), cone)
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the message of the DomainError it raises."""
+    try:
+        return repr(fn(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+_scales = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def _vertex_case(draw):
+    """A min-plus polynomial on a polyhedron in dimension 0..4, built as a
+    simplex, a box, a pyramid over a cross-polytope (its apex is tight on
+    2^(n-1) + 1 rows, more than n once n >= 2), or cuts alone.  Random cuts
+    are added, some rows repeated, and then every row is scaled by its own
+    positive rational and the polyhedron translated by a rational vector,
+    so rows carry mixed denominators and negative leading entries."""
+    n = draw(st.integers(0, 4))
+    shape = draw(st.sampled_from(["simplex", "box", "pyramid", "cuts"]))
+    unit = [[int(j == i) for j in range(n)] for i in range(n)]
+    rows = []
+    if n == 0:
+        rows = [((), b) for b in draw(st.lists(_rationals, max_size=3))]
+    elif shape == "simplex":
+        rows = [([-x for x in u], 0) for u in unit] + [([1] * n, draw(st.integers(1, 3)))]
+    elif shape == "box":
+        for u in unit:
+            lo = draw(st.integers(-2, 1))
+            rows += [(u, lo + draw(st.integers(0, 2))), ([-x for x in u], -lo)]
+    elif shape == "pyramid":
+        rows = [([-x for x in unit[-1]], 0), (unit[-1], 1)]
+        rows += [(list(signs) + [1], 1) for signs in product((1, -1), repeat=n - 1)]
+    for _ in range(draw(st.integers(0, 2 if n > 2 else 3))):
+        rows.append((draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), draw(_rationals)))
+    if rows:
+        for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)):
+            rows.append(rows[i])
+    shift = draw(st.lists(_rationals, min_size=n, max_size=n))
+    constraints = []
+    for a, b in rows:
+        s = draw(_scales)
+        b = Fraction(b) + sum(Fraction(x) * t for x, t in zip(a, shift))
+        constraints.append(([s * x for x in a], s * b))
+    constraints = draw(st.permutations(constraints))
+    terms = draw(st.lists(
+        st.tuples(_rationals, st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)),
+        min_size=1, max_size=5))
+    return TropPoly(n, terms), RationalPolytope(n, constraints)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_vertex_case())
+def test_vertex_pass_matches_the_fraction_oracle(case):
+    poly, p = case
+    assert polytope_vertices(p) == polytope_vertices_oracle(p)
+    assert _outcome(bounded_vertices, p) == _outcome(bounded_vertices_oracle, p)
+    assert _outcome(min_locus, poly, p) == _outcome(min_locus_oracle, poly, p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vertex_pass_on_a_pyramid_apex(n):
+    """The apex of the pyramid over the cross-polytope is tight on all
+    2^(n-1) slanted rows and on the cap x_n <= 1, yet is found once."""
+    rows = [([0] * (n - 1) + [-1], 0), ([0] * (n - 1) + [1], 1)]
+    rows += [(list(signs) + [1], 1) for signs in product((1, -1), repeat=n - 1)]
+    p = RationalPolytope(n, rows)
+    apex = (Fraction(0),) * (n - 1) + (Fraction(1),)
+    assert polytope_vertices(p) == polytope_vertices_oracle(p)
+    assert polytope_vertices(p).count(apex) == 1
+    poly = TropPoly(n, [(0, (0,) * (n - 1) + (-1,))])
+    m_star, locus = min_locus(poly, p)
+    assert m_star == -1
+    assert [face.tight for face in locus] == [tuple(range(1, len(rows)))]
+    assert (m_star, locus) == min_locus_oracle(poly, p)
+
+
+def test_min_locus_on_simplices_reads_the_stored_tight_sets(monkeypatch):
+    rng = random.Random(9)
+    cases = []
+    for n in (1, 2, 3, 4):
+        for va in (1, Fraction(7, 3)):
+            poly = TropPoly(n, [(Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
+                                 tuple(rng.randint(-2, 2) for _ in range(n))) for _ in range(6)])
+            p = semistable_skeleton(n, va)
+            cases.append((poly, p, min_locus_oracle(poly, p)))
+
+    def refuse(self, point):
+        raise AssertionError("RationalPolytope point test called")
+
+    monkeypatch.setattr(RationalPolytope, "tight_set", refuse)
+    monkeypatch.setattr(RationalPolytope, "contains", refuse)
+    for poly, p, want in cases:
+        assert min_locus(poly, p) == want
