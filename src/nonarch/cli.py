@@ -452,6 +452,7 @@ _HANDLERS = {
 
 
 def _build_parser():
+    """The top-level parser and each subcommand's own parser, by name."""
     import argparse  # only the first run() pays for it, not every import
 
     parser = argparse.ArgumentParser(
@@ -459,8 +460,9 @@ def _build_parser():
         description="Exact non-archimedean seminorm and tropical skeleton calculator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name in _HANDLERS:
-        p = sub.add_parser(name)
+        p = subparsers[name] = sub.add_parser(name)
         p.add_argument("--field", default="piadic-q",
                        help="trivial | padic:<p> | piadic-q | piadic-f<p>")
         p.add_argument("--n", type=int, default=0, help="number of variables")
@@ -474,26 +476,43 @@ def _build_parser():
         p.add_argument("--m", type=int, default=1, help="tensor power of the canonical form")
         p.add_argument("--epsilon", help="optional decimal base for approximate rendering")
         p.add_argument("--grid", type=int, help="grid steps per axis (grid subcommand)")
-    return parser
+    return parser, subparsers
 
 
 _PARSER = None
 
 
 def _parser():
-    """The one parser of the process, built on first use (not at import,
-    which would slow every import of the package) and only read after."""
+    """The one (parser, subparsers) pair of the process, built on first use
+    (not at import, which would slow every import of the package) and only
+    read after."""
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
     return _PARSER
 
 
+def _parse_args(argv):
+    """The parsed arguments, entering argparse at the subcommand's own
+    parser.  The top-level parser hands everything after the subcommand to
+    that parser, so the result is the same; any other argv, or one that
+    leaves arguments over, goes through the top-level parser, which owns
+    the "unrecognized arguments" error and its usage line."""
+    parser, subparsers = _parser()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv) -> int:
     """Entry point; returns the process exit code instead of raising."""
     try:
         try:
-            args = _parser().parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code == 0 else 2
         model = _parse_field(args.field)

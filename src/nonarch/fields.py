@@ -591,11 +591,13 @@ class FieldElement:
             return INF
         kind = self.model.kind
         if kind == TRIVIAL_Q:
-            return Val(0)
+            return _SMALL_VALS[0]
         if kind == P_ADIC_Q:
             q = self.num[0]
-            return Val(_int_padic(q.numerator, self.model.p) - _int_padic(q.denominator, self.model.p))
-        return Val(_pord(self.num) - _pord(self.den))
+            k = _int_padic(q.numerator, self.model.p) - _int_padic(q.denominator, self.model.p)
+        else:
+            k = _pord(self.num) - _pord(self.den)
+        return _SMALL_VALS[k] if 0 <= k < len(_SMALL_VALS) else Val(k)
 
     # -- rendering ---------------------------------------------------------------
 
@@ -624,6 +626,10 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self} in {self.model.kind}>"
+
+
+# one shared Val per small valuation (Val is immutable)
+_SMALL_VALS = tuple(Val(k) for k in range(64))
 
 
 def _int_padic(n: int, p: int) -> int:

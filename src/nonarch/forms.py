@@ -25,7 +25,8 @@ from itertools import combinations, product
 from operator import mul
 
 from .errors import DomainError
-from .fields import BaseFieldModel
+from .fields import PI_ADIC_FP, BaseFieldModel
+from .lattices import _det
 from .laurent import LaurentPoly, gauss_val
 from .values import INF, Val, vmin
 
@@ -167,25 +168,6 @@ def differential(f: LaurentPoly) -> Pluriform:
     return Pluriform(f.model, f.n, 1, 1, coeffs)
 
 
-def _det_laurent(rows) -> LaurentPoly:
-    """Determinant of a small square matrix of Laurent polynomials by
-    cofactor expansion."""
-    size = len(rows)
-    if size == 0:
-        raise ValueError("empty determinant has no ring to live in")
-    if size == 1:
-        return rows[0][0]
-    model, n = rows[0][0].model, rows[0][0].n
-    total = LaurentPoly.zero(model, n)
-    for j, head in enumerate(rows[0]):
-        if head.is_zero:
-            continue
-        minor = [[row[c] for c in range(size) if c != j] for row in rows[1:]]
-        cof = head * _det_laurent(minor)
-        total = total + (cof if j % 2 == 0 else -cof)
-    return total
-
-
 def pullback(phi: Pluriform, chart: MonomialChart) -> PullbackResult:
     """Express phi in the logarithmic basis of the chart coordinates.
 
@@ -234,7 +216,7 @@ def pullback(phi: Pluriform, chart: MonomialChart) -> PullbackResult:
         got = minor_cache.get(key)
         if got is None:
             rows = [[logd[i - 1][j - 1] for j in target] for i in source]
-            got = LaurentPoly.one(model, n) if l == 0 else _det_laurent(rows)
+            got = LaurentPoly.one(model, n) if l == 0 else _det(rows)
             minor_cache[key] = got
         return got
 
@@ -317,7 +299,7 @@ def kahler_norm_at(phi: Pluriform, chart: MonomialChart) -> Val:
     for source in {subset for e in phi.coeffs for subset in e}:
         minors[source] = []
         for target in targets:
-            d = (_det_laurent([[logd[i - 1][j - 1] for j in target] for i in source])
+            d = (_det([[logd[i - 1][j - 1] for j in target] for i in source])
                  if l else LaurentPoly.one(model, n))
             if not d.is_zero:
                 minors[source].append((target,) + _initial(d, rho))
@@ -388,28 +370,6 @@ def _initial_sum_survives(summands, g_level, g_init, low, rho) -> bool:
     return not total.is_zero and _initial(total, rho)[0] == low + sum(map(mul, shift, g_level))
 
 
-def _int_det(rows) -> int:
-    """Exact integer determinant (Bareiss elimination)."""
-    a = [list(map(int, r)) for r in rows]
-    size = len(a)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def tame_certificate(chart: MonomialChart) -> TameStatus:
     """Residual-tameness certificate for the chart.
 
@@ -418,15 +378,22 @@ def tame_certificate(chart: MonomialChart) -> TameStatus:
     singular exponent matrix is rejected (not a chart) in every residue
     characteristic.  Otherwise residue characteristic zero is always tame,
     and for general substitutions in positive residue characteristic no
-    decision procedure is attempted."""
-    tame_char = chart.model.residue_char == 0
-    exps = []
-    for g in chart.substitutions:
-        if len(g.terms) != 1:
-            return TameStatus.TAME if tame_char else TameStatus.UNKNOWN
-        (e, _coeff), = g.terms.items()
-        exps.append(e)
-    det = _int_det(exps) if chart.n else 1
+    decision procedure is attempted.  Over a base field of characteristic
+    zero a general substitution whose logarithmic Jacobian determinant
+    det(s_j dg_i/ds_j) is identically zero is rejected too.  Over F_p(pi)
+    that determinant also vanishes for wild monomial charts (det L = 0 mod
+    p), so there it is not taken as a test."""
+    model = chart.model
+    tame_char = model.residue_char == 0
+    subs = chart.substitutions
+    if any(len(g.terms) != 1 for g in subs):
+        if model.kind != PI_ADIC_FP and not _det(
+                [[g.log_derivative(j) for j in range(1, chart.n + 1)] for g in subs]):
+            raise DomainError(
+                "degenerate substitution: the logarithmic Jacobian determinant is identically zero")
+        return TameStatus.TAME if tame_char else TameStatus.UNKNOWN
+    exps = [list(next(iter(g.terms))) for g in subs]
+    det = _det(exps)
     if det == 0:
         raise DomainError("degenerate monomial substitution: exponent matrix is singular")
     if tame_char:

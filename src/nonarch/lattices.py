@@ -10,8 +10,11 @@ column no longer touch the complement).
 
 Matrix entries may be plain base-field elements or Laurent polynomials in
 auxiliary variables carrying fixed Gauss radii; in the latter case entry
-valuations are generalized Gauss valuations and intermediate entries are
-exact ratios of Laurent polynomials.
+valuations are generalized Gauss valuations.  Laurent entries are
+eliminated fraction-free (_bareiss): every intermediate entry is a minor
+of the input, a Laurent polynomial, and each elementary divisor is the
+difference v(d_k) - v(d_(k-1)) of two successive pivots.  The same kernel
+gives exact integer and Laurent determinants (_det) to forms and tropical.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InvariantError
 from .fields import BaseFieldModel, FieldElement
-from .laurent import LaurentPoly, gauss_val, gauss_val_rational
+from .laurent import LaurentPoly, _exact_quotient, gauss_val
 from .values import INF, Val, vsum
 
 __all__ = [
@@ -35,47 +38,6 @@ __all__ = [
 ]
 
 _ZERO = Val(0)
-
-
-class _Ratio:
-    """Exact ratio of two Laurent polynomials, the working ring of the
-    elimination when auxiliary Gauss variables are present.  A single-term
-    denominator is folded into the numerator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if len(den.terms) == 1:
-            (exps, coeff), = den.terms.items()
-            if any(exps) or coeff != num.model.one():
-                num = num.shift(tuple(-e for e in exps)).scale(num.model.one() / coeff)
-            den = LaurentPoly.one(num.model, num.n)
-        self.num = num
-        self.den = den
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def val(self, rho) -> Val:
-        if self.num.is_zero:
-            return INF
-        return gauss_val_rational(self.num, self.den, rho)
-
-    def __sub__(self, other):
-        if self.den is other.den or self.den == other.den:
-            return _Ratio(self.num - other.num, self.den)
-        return _Ratio(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        return _Ratio(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero ratio")
-        return _Ratio(self.num * other.den, self.den * other.num)
 
 
 def _coerce_entry(value, model: BaseFieldModel, nvars: int):
@@ -115,13 +77,12 @@ class PresentationMatrix:
         if any(len(r) != self.cols for r in rows):
             raise DomainError("ragged matrix")
         valfn = self._valfn()
-        for r in rows:
-            for entry in r:
-                if valfn(entry) < _ZERO:
-                    raise DomainError(
-                        "presentation entries must lie in the valuation ring (valuation >= 0)"
-                    )
+        vals = [[valfn(e) for e in r] for r in rows]
+        if any(v < _ZERO for r in vals for v in r):
+            raise DomainError("presentation entries must lie in the valuation ring (valuation >= 0)")
         self.entries = tuple(rows)
+        # the Laurent-entry elimination starts from these valuations
+        self._vals = vals if self.nvars else None
 
     def _valfn(self):
         if self.nvars == 0:
@@ -157,23 +118,132 @@ class ElementaryDivisors:
         return self.free_rank + len(self.divisors)
 
 
-def _working_matrix(presentation: PresentationMatrix):
-    """Elimination ring elements plus a valuation callback."""
-    if presentation.nvars == 0:
-        work = [list(row) for row in presentation.entries]
-        return work, (lambda e: e.val())
-    one = LaurentPoly.one(presentation.model, presentation.nvars)
-    work = [[_Ratio(e, one) for e in row] for row in presentation.entries]
-    rho = presentation.rho
-    return work, (lambda e: e.val(rho))
+def _bareiss(work, vals=None, valfn=None):
+    """Fraction-free Gaussian elimination (Bareiss, 1968) with full
+    pivoting, in place on a matrix of ints or of Laurent polynomials.
+
+    Step k picks a pivot d_k in the live block, retires its row and column
+    and sets every other live entry a_ij to (d_k a_ij - a_ip a_pj) / d_(k-1),
+    with d_0 = 1.  A live entry is then the minor on the retired rows and
+    columns plus its own, so every division is exact (an inexact one
+    raises InvariantError) and d_k is a k x k minor.  With vals, the matrix
+    of entry valuations, the pivot is a live entry of least valuation (ties
+    by row-major position), so v(d_k) is the least valuation of any k x k
+    minor; vals follows the entries, and valfn is called only where the
+    two products of an update have equal valuations.  Without vals the
+    pivot is the first nonzero live entry.
+
+    Returns (positions, sign): the pivot positions (row, col) until the
+    live block is zero or empty, and the sign of the row and column
+    permutations, so that sign * d_n is the determinant of a nonsingular
+    n x n matrix."""
+    live_rows = list(range(len(work)))
+    live_cols = list(range(len(work[0]))) if work else []
+    positions = []
+    prev, prev_val = None, _ZERO
+    sign = 1
+    while live_rows and live_cols:
+        if vals is None:
+            at = next(((r, c) for r in live_rows for c in live_cols if work[r][c]), None)
+            if at is None:
+                break
+            pr, pc = at
+        else:
+            best, pr, pc = INF, -1, -1
+            for r in live_rows:
+                vr = vals[r]
+                for c in live_cols:
+                    if vr[c] < best:
+                        best, pr, pc = vr[c], r, c
+            if best.is_inf:
+                break
+        i, j = live_rows.index(pr), live_cols.index(pc)
+        if (i + j) & 1:
+            sign = -sign
+        del live_rows[i], live_cols[j]
+        positions.append((pr, pc))
+        top = work[pr]
+        piv = top[pc]
+        if vals is not None:
+            vtop = vals[pr]
+            vpiv = vtop[pc]
+        for r in live_rows:
+            row = work[r]
+            a = row[pc]
+            for c in live_cols:
+                x, y = row[c], top[c]
+                new = piv * x if x else x
+                if a and y:
+                    new = new - a * y
+                if prev is not None and new:
+                    new = _quotient(new, prev)
+                row[c] = new
+                if vals is not None:
+                    vrow = vals[r]
+                    v1, v2 = vpiv + vrow[c], vrow[pc] + vtop[c]
+                    if not new:
+                        vrow[c] = INF
+                    elif v1 == v2:
+                        vrow[c] = valfn(new)
+                    else:
+                        vrow[c] = min(v1, v2) - prev_val
+        prev = piv
+        if vals is not None:
+            prev_val = vpiv
+    return positions, sign
+
+
+def _quotient(f, g):
+    """f / g in the kernel's ring, exact or an InvariantError."""
+    if isinstance(f, int):
+        q, rem = divmod(f, g)
+        if rem:
+            raise InvariantError("inexact integer division in the elimination kernel")
+        return q
+    return _exact_quotient(f, g)
+
+
+def _det(rows):
+    """Exact determinant of a square matrix of ints, or of a nonempty one
+    of Laurent polynomials, by the kernel.  Up to 2 x 2 the kernel's one
+    product is written out."""
+    if len(rows) < 3:
+        if len(rows) < 2:
+            return rows[0][0] if rows else 1
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    work = [list(r) for r in rows]
+    positions, sign = _bareiss(work)
+    if len(positions) < len(work):
+        x = work[0][0]
+        return LaurentPoly.zero(x.model, x.n) if isinstance(x, LaurentPoly) else 0
+    r, c = positions[-1]
+    return work[r][c] if sign > 0 else -work[r][c]
 
 
 def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
     """Elementary divisors of the presented module.
 
     Pivots are chosen with minimal valuation, ties broken by row-major
-    position; every intermediate entry provably stays in K° (checked)."""
-    work, valfn = _working_matrix(presentation)
+    position; every intermediate entry provably stays in K° (checked).
+    Laurent entries go through the fraction-free kernel, whose successive
+    pivot valuations differ by the divisors."""
+    if presentation.nvars:
+        work = [list(row) for row in presentation.entries]
+        vals = [list(row) for row in presentation._vals]
+        rho = presentation.rho
+        positions, _ = _bareiss(work, vals, lambda e: gauss_val(e, rho))
+        divisors, last = [], _ZERO
+        for r, c in positions:
+            divisors.append(vals[r][c] - last)
+            last = vals[r][c]
+        if any(d < _ZERO for d in divisors):
+            raise InvariantError("Smith pivot left the valuation ring")
+        divisors.sort()
+        return ElementaryDivisors(tuple(divisors), presentation.rows - len(divisors))
+
+    work = [list(row) for row in presentation.entries]
+    valfn = presentation._valfn()
     vals = [[valfn(e) for e in row] for row in work]
     live_rows = list(range(presentation.rows))
     live_cols = list(range(presentation.cols))
@@ -227,7 +297,8 @@ def content(presentation: PresentationMatrix) -> Val:
 
 def det_val(entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:
     """Valuation of the determinant of a square matrix over the field,
-    via exact Gaussian elimination; INF for a singular matrix."""
+    via exact Gaussian elimination (fraction-free for Laurent entries);
+    INF for a singular matrix."""
     rho = tuple(Fraction(r) for r in rho)
     if len(rho) != nvars:
         raise DomainError("one Gauss radius per auxiliary variable is required")
@@ -235,13 +306,9 @@ def det_val(entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise DomainError("determinant requires a square matrix")
-    if nvars == 0:
-        work = rows
-        valfn = lambda e: e.val()  # noqa: E731
-    else:
-        one = LaurentPoly.one(model, nvars)
-        work = [[_Ratio(e, one) for e in row] for row in rows]
-        valfn = lambda e: e.val(rho)  # noqa: E731
+    if nvars:
+        return gauss_val(_det(rows), rho) if size else _ZERO
+    work = rows
     total = _ZERO
     for col in range(size):
         pivot_row = next((r for r in range(col, size) if not work[r][col].is_zero), None)
@@ -250,7 +317,7 @@ def det_val(entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
         piv = work[col][col]
-        total = total + valfn(piv)
+        total = total + piv.val()
         for r in range(col + 1, size):
             if work[r][col].is_zero:
                 continue

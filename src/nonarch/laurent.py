@@ -15,10 +15,11 @@ Laurent polynomials by subtraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul, sub
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .fields import BaseFieldModel, FieldElement
-from .values import INF, Val, vmin
+from .values import INF, Val
 
 __all__ = ["LaurentPoly", "gauss_val", "gauss_val_rational", "log_derivative"]
 
@@ -129,7 +130,7 @@ class LaurentPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 acc = terms.get(e)
                 c = c if acc is None else acc + c
@@ -236,7 +237,7 @@ class LaurentPoly:
 
 
 def _as_radii(rho, n) -> tuple:
-    rho = tuple(Fraction(r) for r in rho)
+    rho = tuple(r if type(r) is Fraction else Fraction(r) for r in rho)
     if len(rho) != n:
         raise DomainError(f"radius vector has length {len(rho)}, expected {n}")
     return rho
@@ -246,10 +247,54 @@ def gauss_val(f: LaurentPoly, rho) -> Val:
     """Generalized Gauss valuation of f at rational radii rho: the minimum
     over terms of val(coefficient) + <exponents, rho>.  INF iff f = 0."""
     rho = _as_radii(rho, f.n)
-    return vmin(
-        coeff.val() + Val(sum(e * r for e, r in zip(exps, rho)))
-        for exps, coeff in f.terms.items()
-    )
+    if not f.terms:
+        return INF
+    return Val(min(coeff.val().fraction + sum(map(mul, exps, rho))
+                   for exps, coeff in f.terms.items()))
+
+
+def _exact_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f / g for a nonzero g that divides f in the Laurent ring; an
+    InvariantError otherwise (never an assert, so it holds under -O).
+
+    A monomial g is a shift and a scaling.  Otherwise terms are divided
+    off by lex-leading terms.  In each variable the highest and the
+    lowest exponent are additive under multiplication, so every exponent
+    of an exact quotient lies in the box from low(f) - low(g) to
+    high(f) - high(g).  The remainder's lex-leading exponent strictly
+    falls at each step, so the loop raises as soon as a quotient exponent
+    leaves that finite box, or ends with a zero remainder."""
+    gt = g.terms
+    if len(gt) == 1:
+        (shift, c), = gt.items()
+        inv = f.model.one() / c
+        return LaurentPoly._of(f.model, f.n, {
+            tuple(map(sub, e, shift)): a * inv for e, a in f.terms.items()})
+    if not f.terms:
+        return f
+    low = list(map(sub, map(min, zip(*f.terms)), map(min, zip(*gt))))
+    high = list(map(sub, map(max, zip(*f.terms)), map(max, zip(*gt))))
+    lead = max(gt)
+    head = gt[lead]
+    tail = [(e, c) for e, c in gt.items() if e != lead]
+    rem = dict(f.terms)
+    quot = {}
+    while rem:
+        e = max(rem)
+        q = tuple(map(sub, e, lead))
+        if any(x < lo or x > hi for x, lo, hi in zip(q, low, high)):
+            raise InvariantError("inexact Laurent division in the elimination kernel")
+        c = rem.pop(e) / head
+        quot[q] = c
+        for ge, gc in tail:
+            k = tuple(map(add, q, ge))
+            acc = rem.get(k)
+            acc = -(c * gc) if acc is None else acc - c * gc
+            if acc.is_zero:
+                del rem[k]
+            else:
+                rem[k] = acc
+    return LaurentPoly._of(f.model, f.n, quot)
 
 
 def gauss_val_rational(f: LaurentPoly, g: LaurentPoly, rho) -> Val:

@@ -27,7 +27,8 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .errors import DomainError
-from .forms import MonomialChart, Pluriform, _int_det
+from .forms import MonomialChart, Pluriform
+from .lattices import _det
 from .laurent import gauss_val
 from .lp import INFEASIBLE, lp_min
 from .values import INF, Val
@@ -278,7 +279,7 @@ def _has_unbounded_edge(rows, found, n) -> bool:
                 continue
             seen.add(subset)
             edge = [rows[i][0] for i in subset]
-            d = [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in edge]) for j in range(n)]
+            d = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in edge]) for j in range(n)]
             if not any(d):
                 continue
             dots = [sum(map(mul, a, d)) for a, _ in rows]

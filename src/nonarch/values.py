@@ -11,14 +11,12 @@ All comparisons are exact rational comparisons.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 
 __all__ = ["Val", "INF", "vmin", "vsum"]
 
 _INF_TAG = object()
 
 
-@total_ordering
 class Val:
     """An element of Q union {+infinity}, totally ordered, with INF
     absorbing addition.  Immutable and hashable."""
@@ -26,7 +24,9 @@ class Val:
     __slots__ = ("_q",)
 
     def __init__(self, value=0):
-        if value is _INF_TAG:
+        if type(value) is Fraction:
+            self._q = value
+        elif value is _INF_TAG:
             self._q = None
         elif isinstance(value, Val):
             self._q = value._q
@@ -45,7 +45,8 @@ class Val:
         return self._q
 
     def __add__(self, other):
-        other = _coerce(other)
+        if type(other) is not Val:
+            other = _coerce(other)
         if self._q is None or other._q is None:
             return INF
         return Val(self._q + other._q)
@@ -53,7 +54,8 @@ class Val:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        if type(other) is not Val:
+            other = _coerce(other)
         if other._q is None:
             raise ValueError("cannot subtract an infinite valuation")
         if self._q is None:
@@ -78,19 +80,38 @@ class Val:
         return Val(-self._q)
 
     def __eq__(self, other):
-        try:
-            other = _coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
+        if type(other) is not Val:
+            try:
+                other = _coerce(other)
+            except (TypeError, ValueError):
+                return NotImplemented
         return self._q == other._q
 
+    # INF is the top of the order; the four comparisons are written out
+    # rather than derived, since they sit in every pivot search
     def __lt__(self, other):
-        other = _coerce(other)
-        if self._q is None:
-            return False
-        if other._q is None:
-            return True
-        return self._q < other._q
+        if type(other) is not Val:
+            other = _coerce(other)
+        a, b = self._q, other._q
+        return a is not None and (b is None or a < b)
+
+    def __le__(self, other):
+        if type(other) is not Val:
+            other = _coerce(other)
+        a, b = self._q, other._q
+        return b is None or (a is not None and a <= b)
+
+    def __gt__(self, other):
+        if type(other) is not Val:
+            other = _coerce(other)
+        a, b = self._q, other._q
+        return b is not None and (a is None or a > b)
+
+    def __ge__(self, other):
+        if type(other) is not Val:
+            other = _coerce(other)
+        a, b = self._q, other._q
+        return a is None or (b is not None and a >= b)
 
     def __hash__(self):
         return hash(("Val", self._q))

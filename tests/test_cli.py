@@ -152,6 +152,31 @@ def test_degenerate_monomial_chart_is_refused(tmp_path, capsys, field, command):
     assert "exponent matrix is singular" in err
 
 
+@pytest.mark.parametrize("subs", [["s1 + s2", "s1 + s2"], ["s1 + s2", "(s1 + s2)^2"],
+                                  ["s1 + s2", "3*s1 + 3*s2"]])
+@pytest.mark.parametrize("field", ["padic:2", "piadic-q", "trivial"])
+@pytest.mark.parametrize("command", ["tame-check", "eval-norm"])
+def test_singular_non_monomial_chart_is_refused(tmp_path, capsys, field, command, subs):
+    """A chart whose logarithmic Jacobian determinant vanishes identically
+    (here t2 is a function of t1) is not a chart: no "inf" norm and no
+    certificate is reported."""
+    chart = write(tmp_path, "c.json", {"substitutions": subs})
+    form = write(tmp_path, "f.json", {"l": 2, "m": 1, "entries": [{"e": [[1, 2]], "coeff": "t1 + t2"}]})
+    code, out, err = invoke(capsys, command, "--field", field, "--n", "2", "--point", "1,1",
+                            "--chart", chart, "--form", form)
+    assert (code, out) == (3, "")
+    assert "logarithmic Jacobian determinant is identically zero" in err
+
+
+def test_singular_chart_over_fp_pi_is_not_tested(tmp_path, capsys):
+    """Over F_p(pi) the logarithmic Jacobian also vanishes on wild monomial
+    charts, so a non-monomial chart there keeps the certificate "unknown"."""
+    chart = write(tmp_path, "c.json", {"substitutions": ["s1 + s2", "s1 + s2"]})
+    code, out, _ = invoke(capsys, "tame-check", "--field", "piadic-f3", "--n", "2", "--point", "1,1",
+                          "--chart", chart)
+    assert (code, json.loads(out)) == (0, {"certificate": "unknown"})
+
+
 def test_trop_and_grid(tmp_path, capsys):
     form = write(tmp_path, "f.json", {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "1 + t1"}]})
     code, out, _ = invoke(capsys, "trop", "--field", "piadic-q", "--n", "1", "--form", form)
@@ -452,3 +477,80 @@ def test_grid_csv_matches_the_naive_walk(case):
     out = io.StringIO()
     cli._write_grid(out, p, poly, axes)
     assert out.getvalue() == _naive_grid(p, poly, axes)
+
+
+def _full_parser_path(argv):
+    return cli._parser()[0].parse_args(argv)
+
+
+def _run_both(monkeypatch, argv):
+    """(exit, stdout, stderr) of run(argv), and of run(argv) with every
+    argv parsed by the top-level parser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []
+    for full in (False, True):
+        if full:
+            monkeypatch.setattr(cli, "_parse_args", _full_parser_path)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(list(argv))
+        seen.append((code, out.getvalue(), err.getvalue()))
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.fixture(scope="module")
+def parse_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argparse")
+    files = {"{form}": {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "pi + t1"}]},
+             "{matrix}": {"entries": [["2", "1"], ["4", "8"]]}}
+    out = {}
+    for key, doc in files.items():
+        path = d / (key.strip("{}") + ".json")
+        path.write_text(json.dumps(doc))
+        out[key] = str(path)
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate", "--n", "1"],
+    ["smi", "--matrix", "{matrix}"],
+    ["smith", "-h"],
+    ["smith", "--he"],
+    ["smith", "--matrix", "{matrix}", "extra"],
+    ["smith", "extra", "--matrix", "{matrix}"],
+    ["smith", "--matrix", "{matrix}", "--bogus"],
+    ["smith", "--matrix", "{matrix}", "--bogus=1", "-x"],
+    ["smith", "--mat", "{matrix}", "--fie", "padic:2"],
+    ["smith", "--matrix={matrix}", "--field=padic:2"],
+    ["eval-norm", "--n", "x", "--form", "{form}"],
+    ["eval-norm", "--n=1", "--poi", "1/2", "--form", "{form}"],
+    ["eval-norm", "--n", "1", "--point", "1", "--form", "{form}", "--m", "1.5"],
+    ["grid", "--grid", "x", "--semistable", "1,1", "--form", "{form}"],
+    ["grid", "--g", "2", "--semistable", "1,1", "--form", "{form}"],
+    ["trop", "--n", "1", "--form", "{form}", "--"],
+    ["trop", "--n", "1", "--", "--form", "{form}"],
+    ["trop", "--n"],
+    ["smith", "--m", "1", "--ma", "{matrix}"],
+])
+def test_subcommand_parser_matches_the_full_parser(argv, parse_files, monkeypatch):
+    argv = [parse_files.get(a, a) for a in argv]
+    fast, full = _run_both(monkeypatch, argv)
+    assert fast == full
+
+
+_ARGV_TOKENS = ["smith", "trop", "eval-norm", "grid", "frobnicate", "-h", "--he", "--help", "--",
+                "--field", "padic:2", "--n", "1", "x", "--n=2", "--point", "--poi", "1/2",
+                "--matrix", "{matrix}", "--form", "{form}", "--grid", "2", "--bogus", "-x",
+                "extra", "--semistable", "1,1", "--m=0"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=7))
+def test_random_argv_parse_like_the_full_parser(parse_files, monkeypatch, argv):
+    argv = [parse_files.get(a, a) for a in argv]
+    fast, full = _run_both(monkeypatch, argv)
+    assert fast == full

@@ -192,6 +192,25 @@ def test_tame_certificate_examples():
             tame_certificate(MonomialChart(model, [s2a * s2b, s2a * s2b], (1, 1)))
 
 
+def test_singular_non_monomial_chart_is_refused():
+    # t1 = t2 = s1 + s2: the logarithmic Jacobian determinant is 0, not a chart
+    for model in (p_adic_q(2), p_adic_q(3), pi_adic_q(), trivial_q()):
+        s1, s2 = LaurentPoly.variable(model, 2, 1), LaurentPoly.variable(model, 2, 2)
+        for subs in ([s1 + s2, s1 + s2], [s1 + s2, (s1 + s2) ** 3 * 2], [s1 * s2 + 1, s1 ** 2 * s2 ** 2]):
+            with pytest.raises(DomainError, match="identically zero"):
+                tame_certificate(MonomialChart(model, subs, (1, 1)))
+        # a nonsingular non-monomial chart keeps its certificate
+        expected = TameStatus.TAME if model.residue_char == 0 else TameStatus.UNKNOWN
+        assert tame_certificate(MonomialChart(model, [s1 + s2, s2], (1, 1))) == expected
+
+    # over F_p(pi) the same determinant vanishes on a wild monomial chart,
+    # so it is not taken as a test there
+    kf = pi_adic_fp(3)
+    f1, f2 = LaurentPoly.variable(kf, 2, 1), LaurentPoly.variable(kf, 2, 2)
+    assert tame_certificate(MonomialChart(kf, [f1 ** 3, f2], (1, 1))) == TameStatus.WILD
+    assert tame_certificate(MonomialChart(kf, [f1 + f2, f1 + f2], (1, 1))) == TameStatus.UNKNOWN
+
+
 def test_determinant_criterion_matches_norm():
     rng = random.Random(17)
     k3 = p_adic_q(3)

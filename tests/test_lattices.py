@@ -1,14 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nonarch.errors import DomainError
-from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q
-from nonarch.laurent import LaurentPoly
+import lattice_oracle
+from nonarch.errors import DomainError, InvariantError
+from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
+from nonarch.laurent import LaurentPoly, _exact_quotient, gauss_val
 from nonarch.lattices import (
     ElementaryDivisors,
     PresentationMatrix,
+    _det,
     adic_norm,
     content,
     det_val,
@@ -16,6 +22,7 @@ from nonarch.lattices import (
     smith,
 )
 from nonarch.values import INF, Val, vsum
+from vertex_oracle import _int_det
 
 MODELS = [p_adic_q(2), p_adic_q(3), pi_adic_q(), pi_adic_fp(2)]
 
@@ -270,3 +277,145 @@ def test_laurent_entries_with_gauss_radii():
     s = LaurentPoly.variable(k3, 1, 1)
     pres = PresentationMatrix(k3, [[s ** (e - 1) * e]], nvars=1, rho=(Fraction(1, e),))
     assert content(pres) == Val(Fraction(e - 1, e))
+
+
+# -- the fraction-free kernel against the elimination in ratios --------------
+
+KERNEL_MODELS = [p_adic_q(2), pi_adic_q(), pi_adic_fp(3), trivial_q()]
+
+
+def _unit_times_pi(model, c, k):
+    """c * pi^k, with 2 standing in for pi over Q_2 and 1 over the trivial
+    field."""
+    if model.has_pi:
+        return model.elem(c) * model.uniformizer() ** k
+    base = 2 if model.kind == "p-adic-q" else 1
+    return model.elem(c * base ** k)
+
+
+_term = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                  st.sampled_from([1, -1, 2, 3, -5]))
+
+
+def _entry(model, nvars, terms):
+    out = {}
+    for a, b, k, c in terms:
+        exps = (a, b)[:nvars]
+        out[exps] = out.get(exps, model.zero()) + _unit_times_pi(model, c, k)
+    return LaurentPoly(model, nvars, out)
+
+
+@st.composite
+def _laurent_matrices(draw, sizes=(2, 3)):
+    model = draw(st.sampled_from(KERNEL_MODELS))
+    nvars = draw(st.integers(1, 2))
+    rows = draw(st.sampled_from(sizes))
+    cols = draw(st.sampled_from(sizes))
+    entries = [[_entry(model, nvars, draw(st.lists(_term, max_size=3))) for _ in range(cols)]
+               for _ in range(rows)]
+    # a row that is a multiple of another (rank deficiency) or the zero row
+    kind = draw(st.sampled_from(["plain", "plain", "multiple", "zero"]))
+    if kind == "multiple":
+        factor = _entry(model, nvars, draw(st.lists(_term, min_size=1, max_size=2)))
+        entries[-1] = [e * factor for e in entries[0]]
+    elif kind == "zero":
+        entries[-1] = [LaurentPoly.zero(model, nvars) for _ in range(cols)]
+    rho = tuple(Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3))) for _ in range(nvars))
+    return model, nvars, rho, entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(_laurent_matrices())
+def test_kernel_smith_and_det_val_match_the_ratio_oracle(case):
+    model, nvars, rho, entries = case
+    pres = PresentationMatrix(model, entries, nvars=nvars, rho=rho)
+    assert smith(pres) == lattice_oracle.smith(pres)
+    if len(entries) == len(entries[0]):
+        assert det_val(entries, model, nvars, rho) == lattice_oracle.det_val(entries, model, nvars, rho)
+
+
+def _found_matrix(seed, model=None, size=4):
+    """The 4 x 4 Laurent matrices in two variables on which elimination in
+    ratios blew up: 1-3 terms unit * pi^k * t1^a * t2^b, a, b, k in 0..2."""
+    model = model or pi_adic_q()
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(size):
+        row = []
+        for _ in range(size):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                a, b, k = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
+                terms[(a, b)] = _unit_times_pi(model, rng.choice([1, -1, 2, 3, -5]), k)
+            row.append(LaurentPoly(model, 2, terms))
+        rows.append(row)
+    return rows
+
+
+def _check_divisor_sum_is_cofactor_det(model, rows, rho):
+    d = smith(PresentationMatrix(model, rows, nvars=2, rho=rho))
+    det = lattice_oracle.det_laurent(rows)
+    assert _det(rows) == det
+    if det.is_zero:
+        assert d.free_rank > 0 and det_val(rows, model, 2, rho) == INF
+    else:
+        assert d.free_rank == 0
+        assert vsum(d.divisors) == gauss_val(det, rho) == det_val(rows, model, 2, rho)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_4x4_laurent_divisor_sum_is_the_cofactor_determinant(seed):
+    _check_divisor_sum_is_cofactor_det(pi_adic_q(), _found_matrix(seed),
+                                       (Fraction(1, 2), Fraction(1, 3)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(KERNEL_MODELS), st.integers(3, 10**6),
+       st.tuples(st.integers(0, 4), st.integers(1, 3)), st.tuples(st.integers(0, 4), st.integers(1, 3)))
+def test_4x4_laurent_divisor_sum_random(model, seed, r1, r2):
+    _check_divisor_sum_is_cofactor_det(model, _found_matrix(seed, model), (Fraction(*r1), Fraction(*r2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_kernel_integer_det_matches_the_oracle(rows):
+    assert _det(rows) == _int_det(rows)
+
+
+def test_exact_quotient_recovers_factors_and_refuses_remainders():
+    k = pi_adic_q()
+    t1, t2 = LaurentPoly.variable(k, 2, 1), LaurentPoly.variable(k, 2, 2)
+    pi = k.uniformizer()
+    f, g = t1 * t2 ** -1 + pi * t2 + 3, t1 ** 2 - t2 * pi + t1 * t2 ** -2
+    assert _exact_quotient(f * g, g) == f
+    assert _exact_quotient(f * g, f) == g
+    assert _exact_quotient(f * 5 * t1 ** -3, t1 ** -3 * 5) == f
+    one = LaurentPoly.one(k, 2)
+    # t1 + t2^5 over 1 + t2^-1: lex-leading division alone would run down
+    # t1*t2^-k for ever; the exponent box stops it at once
+    for num, den in ((f * g + 1, g), (t1, t1 - t2), (one, 1 + t1 ** -1), (f, g),
+                     (t1 + t2 ** 5, 1 + t2 ** -1)):
+        with pytest.raises(InvariantError, match="inexact"):
+            _exact_quotient(num, den)
+
+
+def test_inexact_division_is_refused_under_python_O():
+    code = ("from nonarch.fields import pi_adic_q\n"
+            "from nonarch.laurent import LaurentPoly, _exact_quotient\n"
+            "from nonarch.lattices import _quotient\n"
+            "from nonarch.errors import InvariantError\n"
+            "k = pi_adic_q(); t = LaurentPoly.variable(k, 2, 1); s = LaurentPoly.variable(k, 2, 2)\n"
+            "for f, g in ((t, t - s), (t + s ** 5, 1 + s ** -1), (7, 2)):\n"
+            "    try:\n"
+            "        _quotient(f, g)\n"
+            "    except InvariantError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'no error for {f} / {g}')\n"
+            "assert False, 'asserts run'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr

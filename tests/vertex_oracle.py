@@ -13,9 +13,30 @@ from math import lcm
 from operator import mul
 
 from nonarch.errors import DomainError
-from nonarch.forms import _int_det
 from nonarch.lp import INFEASIBLE, lp_min
 from nonarch.tropical import Face, FaceComplex, RationalPolytope, TropPoly
+
+
+def _int_det(rows) -> int:
+    """Exact integer determinant (Bareiss elimination with row swaps)."""
+    a = [list(map(int, r)) for r in rows]
+    size = len(a)
+    if size == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def _solve_square(rows, rhs):
