@@ -27,6 +27,11 @@ from .weights import KummerDivisorialSpec, compare
 
 __all__ = ["run", "main"]
 
+# The largest --semistable dimension and grid, counted as (steps + 1)^n
+# points, that the CLI runs; larger ones are refused before any work.
+_MAX_SEMISTABLE_N = 16
+_MAX_GRID_POINTS = 10 ** 5
+
 
 def _parse_field(spec: str) -> BaseFieldModel:
     if spec == "trivial":
@@ -231,13 +236,20 @@ def _field_entry(src, model):
     return poly.terms.get((), model.zero())
 
 
+def _semistable_n(spec: str) -> int:
+    n = _parse_int(spec.split(",")[0], "--semistable")
+    if n > _MAX_SEMISTABLE_N:
+        raise DomainError(f"--semistable dimension {n} is above the limit {_MAX_SEMISTABLE_N}")
+    return n
+
+
 def _polytope_from_args(args) -> RationalPolytope:
     if getattr(args, "semistable", None):
         try:
-            n_text, va_text = args.semistable.split(",")
+            _, va_text = args.semistable.split(",")
         except ValueError as exc:
             raise DomainError("--semistable wants '<n>,<va>'") from exc
-        return semistable_skeleton(_parse_int(n_text, "--semistable"), _parse_rational(va_text))
+        return semistable_skeleton(_semistable_n(args.semistable), _parse_rational(va_text))
     if getattr(args, "polytope", None):
         doc = _load_doc(args.polytope, "polytope")
         constraints = [
@@ -290,7 +302,7 @@ def _infer_n_from_region(args):
     if args.n:
         return
     if getattr(args, "semistable", None):
-        args.n = _parse_int(args.semistable.split(",")[0], "--semistable")
+        args.n = _semistable_n(args.semistable)
     elif getattr(args, "polytope", None):
         args.n = int(_load_doc(args.polytope, "polytope")["n"])
 
@@ -391,6 +403,12 @@ def _cmd_grid(args, model, eps):
     _infer_n_from_region(args)
     phi = _load_form(args, model)
     poly = tropicalize(phi)
+    points = 1
+    for _ in range(poly.n):
+        points *= steps + 1
+        if points > _MAX_GRID_POINTS:
+            raise DomainError(f"--grid {steps} in dimension {poly.n} is above the limit of "
+                              f"{_MAX_GRID_POINTS} points ((steps + 1)^n)")
     p = _polytope_from_args(args)
     if p.n != poly.n:
         raise DomainError("form and polytope dimensions disagree")

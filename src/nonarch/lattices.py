@@ -1,29 +1,30 @@
 """Smith normal form over valuation rings, elementary divisors, content of
 finitely presented modules, semilattice index, and the adic seminorm.
 
-Over a valuation ring the ideals are totally ordered, so any entry of
-minimal valuation divides every other entry.  Diagonalization therefore
-needs a single pass: pick the minimal-valuation entry as pivot, clear its
-column by exact field division, and recurse on the Schur complement (the
-pivot row is cleared implicitly, since column operations on a cleared
-column no longer touch the complement).
+Over a valuation ring the ideals are totally ordered, so an entry of
+minimal valuation divides every other entry.  One elimination kernel
+(_bareiss, fraction-free with least-valuation pivots) serves every
+matrix: each intermediate entry is a minor of the input, the k-th pivot
+d_k has the least valuation of any k x k minor, and each elementary
+divisor is the difference v(d_k) - v(d_(k-1)) of two successive pivots.
 
 Matrix entries may be plain base-field elements or Laurent polynomials in
 auxiliary variables carrying fixed Gauss radii; in the latter case entry
-valuations are generalized Gauss valuations.  Laurent entries are
-eliminated fraction-free (_bareiss): every intermediate entry is a minor
-of the input, a Laurent polynomial, and each elementary divisor is the
-difference v(d_k) - v(d_(k-1)) of two successive pivots.  The same kernel
-gives exact integer and Laurent determinants (_det) to forms and tropical.
+valuations are generalized Gauss valuations.  The kernel runs on ints for
+the rational models (each row scaled by the lcm of its denominators), on
+field elements for the pi-adic ones and on Laurent polynomials otherwise
+(_kernel_rows).  It also gives exact integer and Laurent determinants
+(_det) to forms and tropical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, InvariantError
-from .fields import BaseFieldModel, FieldElement
+from .fields import BaseFieldModel, FieldElement, _int_padic
 from .laurent import LaurentPoly, _exact_quotient, gauss_val
 from .values import INF, Val, vsum
 
@@ -76,19 +77,13 @@ class PresentationMatrix:
         self.cols = len(rows[0]) if rows else 0
         if any(len(r) != self.cols for r in rows):
             raise DomainError("ragged matrix")
-        valfn = self._valfn()
-        vals = [[valfn(e) for e in r] for r in rows]
+        rho = self.rho
+        vals = [[gauss_val(e, rho) if rho else e.val() for e in r] for r in rows]
         if any(v < _ZERO for r in vals for v in r):
             raise DomainError("presentation entries must lie in the valuation ring (valuation >= 0)")
         self.entries = tuple(rows)
-        # the Laurent-entry elimination starts from these valuations
-        self._vals = vals if self.nvars else None
-
-    def _valfn(self):
-        if self.nvars == 0:
-            return lambda e: e.val()
-        rho = self.rho
-        return lambda e: gauss_val(e, rho)
+        # the elimination in smith starts from these valuations
+        self._vals = vals
 
     @classmethod
     def from_rows(cls, model, entries) -> "PresentationMatrix":
@@ -120,7 +115,8 @@ class ElementaryDivisors:
 
 def _bareiss(work, vals=None, valfn=None):
     """Fraction-free Gaussian elimination (Bareiss, 1968) with full
-    pivoting, in place on a matrix of ints or of Laurent polynomials.
+    pivoting, in place on a matrix of ints, field elements or Laurent
+    polynomials.
 
     Step k picks a pivot d_k in the live block, retires its row and column
     and sets every other live entry a_ij to (d_k a_ij - a_ip a_pj) / d_(k-1),
@@ -200,13 +196,40 @@ def _quotient(f, g):
         if rem:
             raise InvariantError("inexact integer division in the elimination kernel")
         return q
+    if isinstance(f, FieldElement):
+        return f / g
     return _exact_quotient(f, g)
+
+
+def _kernel_rows(rows, model: BaseFieldModel, rho):
+    """(work, valfn, shift): the kernel's copy of coerced entries, the
+    valuation of its entries, and the valuation its row scaling adds to
+    every n x n minor.
+
+    Rows over trivial_q and p_adic_q become ints, each scaled by the lcm
+    of its denominators; for entries in K° that scale is a unit.  Over
+    the pi-adic models the entries stay field elements, and Laurent
+    entries (rho nonempty) stay Laurent polynomials, both unscaled."""
+    if rho:
+        return [list(r) for r in rows], lambda e: gauss_val(e, rho), _ZERO
+    if model.has_pi:
+        return [list(r) for r in rows], FieldElement.val, _ZERO
+    work, shift, p = [], 0, model.p
+    for row in rows:
+        qs = [e.num[0] if e.num else 0 for e in row]
+        scale = lcm(*(q.denominator for q in qs))
+        work.append([q.numerator * (scale // q.denominator) for q in qs])
+        if p:
+            shift += _int_padic(scale, p)
+    if p:
+        return work, lambda n: Val(_int_padic(n, p)), Val(shift)
+    return work, lambda n: _ZERO, _ZERO
 
 
 def _det(rows):
     """Exact determinant of a square matrix of ints, or of a nonempty one
-    of Laurent polynomials, by the kernel.  Up to 2 x 2 the kernel's one
-    product is written out."""
+    of field elements or Laurent polynomials, by the kernel.  Up to 2 x 2
+    the kernel's one product is written out."""
     if len(rows) < 3:
         if len(rows) < 2:
             return rows[0][0] if rows else 1
@@ -215,73 +238,24 @@ def _det(rows):
     work = [list(r) for r in rows]
     positions, sign = _bareiss(work)
     if len(positions) < len(work):
-        x = work[0][0]
-        return LaurentPoly.zero(x.model, x.n) if isinstance(x, LaurentPoly) else 0
+        return work[0][0] - work[0][0]  # the zero of the entries' ring
     r, c = positions[-1]
     return work[r][c] if sign > 0 else -work[r][c]
 
 
 def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
-    """Elementary divisors of the presented module.
-
-    Pivots are chosen with minimal valuation, ties broken by row-major
-    position; every intermediate entry provably stays in K° (checked).
-    Laurent entries go through the fraction-free kernel, whose successive
-    pivot valuations differ by the divisors."""
-    if presentation.nvars:
-        work = [list(row) for row in presentation.entries]
-        vals = [list(row) for row in presentation._vals]
-        rho = presentation.rho
-        positions, _ = _bareiss(work, vals, lambda e: gauss_val(e, rho))
-        divisors, last = [], _ZERO
-        for r, c in positions:
-            divisors.append(vals[r][c] - last)
-            last = vals[r][c]
-        if any(d < _ZERO for d in divisors):
-            raise InvariantError("Smith pivot left the valuation ring")
-        divisors.sort()
-        return ElementaryDivisors(tuple(divisors), presentation.rows - len(divisors))
-
-    work = [list(row) for row in presentation.entries]
-    valfn = presentation._valfn()
-    vals = [[valfn(e) for e in row] for row in work]
-    live_rows = list(range(presentation.rows))
-    live_cols = list(range(presentation.cols))
-    divisors = []
-
-    while live_rows and live_cols:
-        pr = pc = -1
-        pivot_val = INF
-        for r in live_rows:
-            vr = vals[r]
-            for c in live_cols:
-                if vr[c] < pivot_val:
-                    pivot_val = vr[c]
-                    pr, pc = r, c
-        if pivot_val.is_inf:
-            break
-        if pivot_val < _ZERO:
-            raise InvariantError("Smith pivot left the valuation ring")
-        divisors.append(pivot_val)
-        piv = work[pr][pc]
-        pivot_row = work[pr]
-        for r in live_rows:
-            if r == pr or vals[r][pc].is_inf:
-                continue
-            factor = work[r][pc] / piv
-            row = work[r]
-            vrow = vals[r]
-            for c in live_cols:
-                if c == pc or vals[pr][c].is_inf:
-                    continue
-                row[c] = row[c] - factor * pivot_row[c]
-                v = valfn(row[c])
-                if v < _ZERO:
-                    raise InvariantError("Smith elimination left the valuation ring")
-                vrow[c] = v
-        live_rows.remove(pr)
-        live_cols.remove(pc)
-
+    """Elementary divisors of the presented module, read from the kernel's
+    successive pivot valuations (pivots of least valuation, ties broken by
+    row-major position); a negative divisor is an InvariantError."""
+    work, valfn, _ = _kernel_rows(presentation.entries, presentation.model, presentation.rho)
+    vals = [list(row) for row in presentation._vals]
+    positions, _ = _bareiss(work, vals, valfn)
+    divisors, last = [], _ZERO
+    for r, c in positions:
+        divisors.append(vals[r][c] - last)
+        last = vals[r][c]
+    if any(d < _ZERO for d in divisors):
+        raise InvariantError("Smith pivot left the valuation ring")
     divisors.sort()
     return ElementaryDivisors(tuple(divisors), presentation.rows - len(divisors))
 
@@ -296,9 +270,9 @@ def content(presentation: PresentationMatrix) -> Val:
 
 
 def det_val(entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:
-    """Valuation of the determinant of a square matrix over the field,
-    via exact Gaussian elimination (fraction-free for Laurent entries);
-    INF for a singular matrix."""
+    """Valuation of the determinant of a square matrix over the field, by
+    the kernel's exact determinant less the row scaling's valuation; INF
+    for a singular matrix."""
     rho = tuple(Fraction(r) for r in rho)
     if len(rho) != nvars:
         raise DomainError("one Gauss radius per auxiliary variable is required")
@@ -306,25 +280,11 @@ def det_val(entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise DomainError("determinant requires a square matrix")
-    if nvars:
-        return gauss_val(_det(rows), rho) if size else _ZERO
-    work = rows
-    total = _ZERO
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if not work[r][col].is_zero), None)
-        if pivot_row is None:
-            return INF
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-        piv = work[col][col]
-        total = total + piv.val()
-        for r in range(col + 1, size):
-            if work[r][col].is_zero:
-                continue
-            factor = work[r][col] / piv
-            for c in range(col + 1, size):
-                work[r][c] = work[r][c] - factor * work[col][c]
-    return total
+    if not size:
+        return _ZERO
+    work, valfn, shift = _kernel_rows(rows, model, rho)
+    det = _det(work)
+    return valfn(det) - shift if det else INF
 
 
 def semilattice_index(m_entries, l_entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:

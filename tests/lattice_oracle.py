@@ -1,11 +1,14 @@
-"""Smith forms and determinants of Laurent-entry matrices as they were
-computed before the fraction-free kernel: elimination in the fraction
-field, each entry an unreduced ratio of Laurent polynomials (_Ratio), and
-determinants of Laurent matrices by cofactor expansion.  Kept as the
-oracle test_lattices.py holds smith, det_val and the kernel's minors to."""
+"""Smith forms and determinants as they were computed before the
+fraction-free kernel: for field entries, elimination in the base field
+(field_smith, field_det_val); for Laurent entries, elimination in the
+fraction field, each entry an unreduced ratio of Laurent polynomials
+(_Ratio); and determinants of Laurent matrices by cofactor expansion.
+Kept as the oracle test_lattices.py holds smith, det_val and the kernel's
+minors to."""
 
 from __future__ import annotations
 
+from nonarch.errors import InvariantError
 from nonarch.lattices import ElementaryDivisors, PresentationMatrix, _coerce_entry
 from nonarch.laurent import LaurentPoly, gauss_val_rational
 from nonarch.values import INF, Val
@@ -127,4 +130,76 @@ def det_laurent(rows) -> LaurentPoly:
         minor = [[row[c] for c in range(size) if c != j] for row in rows[1:]]
         cof = head * det_laurent(minor)
         total = total + (cof if j % 2 == 0 else -cof)
+    return total
+
+
+def field_smith(presentation: PresentationMatrix) -> ElementaryDivisors:
+    """Elementary divisors of a presentation with field entries (nvars ==
+    0): least-valuation pivots, Schur complements in the base field."""
+    work = [list(row) for row in presentation.entries]
+    valfn = lambda e: e.val()  # noqa: E731
+    vals = [[valfn(e) for e in row] for row in work]
+    live_rows = list(range(presentation.rows))
+    live_cols = list(range(presentation.cols))
+    divisors = []
+
+    while live_rows and live_cols:
+        pr = pc = -1
+        pivot_val = INF
+        for r in live_rows:
+            vr = vals[r]
+            for c in live_cols:
+                if vr[c] < pivot_val:
+                    pivot_val = vr[c]
+                    pr, pc = r, c
+        if pivot_val.is_inf:
+            break
+        if pivot_val < _ZERO:
+            raise InvariantError("Smith pivot left the valuation ring")
+        divisors.append(pivot_val)
+        piv = work[pr][pc]
+        pivot_row = work[pr]
+        for r in live_rows:
+            if r == pr or vals[r][pc].is_inf:
+                continue
+            factor = work[r][pc] / piv
+            row = work[r]
+            vrow = vals[r]
+            for c in live_cols:
+                if c == pc or vals[pr][c].is_inf:
+                    continue
+                row[c] = row[c] - factor * pivot_row[c]
+                v = valfn(row[c])
+                if v < _ZERO:
+                    raise InvariantError("Smith elimination left the valuation ring")
+                vrow[c] = v
+        live_rows.remove(pr)
+        live_cols.remove(pc)
+
+    divisors.sort()
+    return ElementaryDivisors(tuple(divisors), presentation.rows - len(divisors))
+
+
+def field_det_val(entries, model) -> Val:
+    """Valuation of the determinant of a square matrix of field entries by
+    partial-pivot Gaussian elimination in the base field; INF for a
+    singular matrix."""
+    rows = [[_coerce_entry(e, model, 0) for e in row] for row in entries]
+    size = len(rows)
+    work = rows
+    total = _ZERO
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if not work[r][col].is_zero), None)
+        if pivot_row is None:
+            return INF
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+        piv = work[col][col]
+        total = total + piv.val()
+        for r in range(col + 1, size):
+            if work[r][col].is_zero:
+                continue
+            factor = work[r][col] / piv
+            for c in range(col + 1, size):
+                work[r][c] = work[r][c] - factor * work[col][c]
     return total

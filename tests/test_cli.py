@@ -554,3 +554,31 @@ def test_random_argv_parse_like_the_full_parser(parse_files, monkeypatch, argv):
     argv = [parse_files.get(a, a) for a in argv]
     fast, full = _run_both(monkeypatch, argv)
     assert fast == full
+
+
+def test_oversized_semistable_and_grid_are_refused_before_any_run(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("an oversized input reached the polytope code")
+
+    monkeypatch.setattr(cli, "semistable_skeleton", never)
+    monkeypatch.setattr(cli, "bounded_vertices", never)
+    form = write(tmp_path, "f.json", {"l": 3, "m": 1, "entries": [{"e": [[1, 2, 3]], "coeff": "1"}]})
+    big = str(cli._MAX_SEMISTABLE_N + 1)
+    for argv, message in (
+        (("grid", "--grid", "1000000", "--semistable", "3,1"), "above the limit of 100000 points"),
+        (("grid", "--grid", "46", "--n", "3", "--semistable", "3,1"), "above the limit of 100000 points"),
+        (("grid", "--grid", "2", "--semistable", "100000,1"), "--semistable dimension 100000"),
+        (("max-locus", "--semistable", f"{big},1"), f"--semistable dimension {big} is above"),
+        (("max-locus", "--n", "3", "--semistable", f"{big},1"), "above the limit 16"),
+    ):
+        code, out, err = invoke(capsys, *argv, "--form", form)
+        assert (code, out) == (3, ""), argv
+        assert message in err, (argv, err)
+
+
+def test_largest_allowed_grid_runs(tmp_path, capsys):
+    form = write(tmp_path, "f.json", {"l": 2, "m": 1, "entries": [{"e": [[1, 2]], "coeff": "t1 + t2"}]})
+    # 316^2 = 99 856 points is under the limit; the simplex keeps about half
+    code, out, _ = invoke(capsys, "grid", "--grid", "315", "--semistable", "2,1", "--form", form)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 316 * 317 // 2

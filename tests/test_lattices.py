@@ -419,3 +419,88 @@ def test_inexact_division_is_refused_under_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+# -- field entries: the kernel against elimination in the field ---------------
+
+FIELD_MODELS = [trivial_q(), p_adic_q(2), p_adic_q(3), pi_adic_q(), pi_adic_fp(2), pi_adic_fp(3)]
+
+
+def _field_entry(model, c, k, d0, d1):
+    """c * u^k / (d0 + d1 * u), u the uniformizer (1 over the trivial
+    field); the denominator is a unit in every model."""
+    u = model.elem(1) if model.kind == "trivial-q" else model.uniformizer()
+    return model.elem(c) * u ** k / (model.elem(d0) + model.elem(d1) * u)
+
+
+@st.composite
+def _field_matrices(draw, square=False, min_k=0):
+    """A matrix over one of FIELD_MODELS, 0 x 0 up to 5 x 5, entries of
+    valuation >= min_k, sometimes with a zero row or column or a row that
+    is a multiple of another."""
+    model = draw(st.sampled_from(FIELD_MODELS))
+    rows = draw(st.integers(0, 5))
+    cols = rows if square or not rows else draw(st.integers(0, 5))
+    entry = st.tuples(st.sampled_from([0, 1, -1, 2, 3, -5, 7]), st.integers(min_k, 3),
+                      st.sampled_from([1, 5, 7]), st.integers(0, 1))
+    entries = [[_field_entry(model, *draw(entry)) for _ in range(cols)] for _ in range(rows)]
+    kind = draw(st.sampled_from(["plain", "plain", "multiple", "zero row", "zero column"]))
+    if rows and cols:
+        if kind == "multiple":
+            factor = _field_entry(model, *draw(entry.filter(lambda e: e[1] >= 0)))
+            entries[-1] = [e * factor for e in entries[0]]
+        elif kind == "zero row":
+            entries[-1] = [model.zero()] * cols
+        elif kind == "zero column":
+            for row in entries:
+                row[-1] = model.zero()
+    return model, entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_matrices())
+def test_field_smith_and_content_match_the_field_oracle(case):
+    model, entries = case
+    pres = PresentationMatrix.from_rows(model, entries)
+    expected = lattice_oracle.field_smith(pres)
+    assert smith(pres) == expected
+    assert content(pres) == (INF if expected.free_rank else vsum(expected.divisors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_matrices(square=True, min_k=-2))
+def test_field_det_val_matches_the_field_oracle(case):
+    # entries down to valuation -2: over Q_p rationals with p in the
+    # denominator, so the int rows carry a scaling of positive valuation
+    model, entries = case
+    assert det_val(entries, model) == lattice_oracle.field_det_val(entries, model)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_smith_matches_the_sympy_polynomial_oracle(p):
+    # independent oracle: over Q[x] (p = 0) or F_p[x] sympy computes the
+    # invariant factors, and the pi-adic elementary divisors over Q(pi) or
+    # F_p(pi) are their x-adic orders
+    from sympy import GF, QQ, Matrix, Poly, symbols
+    from sympy.matrices.normalforms import invariant_factors
+
+    x = symbols("x")
+    model, domain = (pi_adic_q(), QQ[x]) if p == 0 else (pi_adic_fp(p), GF(p)[x])
+    coeffs = [0, 0, 1, -1, 2, 3] + ([Fraction(1, 2), Fraction(-5, 3)] if p == 0 else [])
+    rng = random.Random(40 + p)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        polys = [[[0] * rng.randint(0, 2) + [rng.choice(coeffs) for _ in range(rng.randint(0, 3))]
+                  for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            polys[-1] = polys[0]
+        mine = smith(PresentationMatrix.from_rows(
+            model, [[model.from_pi_polys(c) if c else model.zero() for c in row] for row in polys]))
+        factors = invariant_factors(
+            Matrix([[sum(c * x ** i for i, c in enumerate(cs)) for cs in row] for row in polys]),
+            domain=domain)
+        orders = [min(m for (m,) in poly.monoms())
+                  for poly in (Poly(f, x, modulus=p) if p else Poly(f, x) for f in factors)
+                  if not poly.is_zero]
+        assert [v.fraction for v in mine.divisors] == sorted(orders)
+        assert mine.free_rank == rows - len(orders)
