@@ -229,23 +229,18 @@ def parse_poly(text: str, model: BaseFieldModel, n: int, variables: str = "t") -
 def _coeff_factors(elem) -> list:
     """Grammar factors multiplying to the coefficient; raises when the
     coefficient is not expressible (non-monomial pi denominator)."""
-    model = elem.model
-    if model.kind in ("trivial-q", "p-adic-q"):
-        return [str(elem.num[0])]
-    num, den = elem._canonical()
-    shift = 0
-    if den != (model._cf.one,):
-        if any(c for c in den[:-1]):
-            raise DomainError(
-                "coefficient has a non-monomial pi denominator; not expressible in the grammar"
-            )
-        shift = len(den) - 1
+    num, den, cf = elem.num, elem.den, elem.model._cf
+    if any(den[:-1]):
+        raise DomainError(
+            "coefficient has a non-monomial pi denominator; not expressible in the grammar"
+        )
+    shift = len(den) - 1
     parts = []
     for i, c in enumerate(num):
         if not c:
             continue
         e = i - shift
-        cs = model._cf.render(c) if model.kind == "pi-adic-fp" else str(c)
+        cs = cf.render(c)
         if e == 0:
             parts.append(cs)
         else:

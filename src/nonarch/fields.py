@@ -7,11 +7,12 @@ Four computable models of a valued field k are supported:
 * ``pi_adic_q``   -- Q(pi) with the pi-adic valuation, residue field Q;
 * ``pi_adic_fp(p)`` -- F_p(pi) with the pi-adic valuation, residue field F_p.
 
-Elements of the pi-adic models are reduced ratios of polynomials in the
-uniformizer pi (denominator monic, fraction in lowest terms, zero uniquely
-represented).  Elements of the rational models are plain ``Fraction``
-values stored as degree-zero ratios, so one arithmetic code path serves
-all four models.  Every operation is exact.
+Elements of the pi-adic models are ratios of polynomials in the
+uniformizer pi, stored in one canonical form: lowest terms, monic
+denominator, zero as 0/1.  Every operation returns that form, so equality,
+hashing and printing read the stored payload.  Elements of the rational
+models are plain ``Fraction`` values stored as degree-zero ratios, so one
+arithmetic code path serves all four models.  Every operation is exact.
 """
 
 from __future__ import annotations
@@ -302,12 +303,6 @@ def _pord(a) -> int:
     raise ValueError("zero polynomial has no order")
 
 
-# Ratios are kept only lightly normalized during arithmetic; a full gcd
-# reduction is triggered once the combined degree crosses this bound (and
-# on demand for hashing and printing).
-_REDUCE_DEGREE = 12
-
-
 class BaseFieldModel:
     """One of the four exact models of a valued base field."""
 
@@ -361,14 +356,9 @@ class BaseFieldModel:
             if value.model != self:
                 raise DomainError("field element belongs to a different base field")
             return value
-        q = Fraction(value)
         cf = self._cf
-        if isinstance(cf, _PrimeFieldCoeffs):
-            c = cf.from_fraction(q)
-            num = () if cf.is_zero(c) else (c,)
-        else:
-            num = () if q == 0 else (q,)
-        return FieldElement(self, num, (cf.one,))
+        c = cf.from_fraction(value)
+        return FieldElement(self, () if cf.is_zero(c) else (c,), (cf.one,))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, (), (self._cf.one,))
@@ -388,15 +378,10 @@ class BaseFieldModel:
 
     def from_pi_polys(self, num, den=(1,)) -> "FieldElement":
         """Build an element from coefficient sequences in pi (lowest degree
-        first); coefficients are rationals (or ints mod p)."""
-        cf = self._cf
-        if isinstance(cf, _PrimeFieldCoeffs):
-            nc = tuple(int(c) % cf.p for c in num)
-            dc = tuple(int(c) % cf.p for c in den)
-        else:
-            nc = tuple(Fraction(c) for c in num)
-            dc = tuple(Fraction(c) for c in den)
-        return FieldElement._reduced(self, nc, dc)
+        first); coefficients are ints or Fractions, taken mod p over F_p
+        (a denominator divisible by p raises DomainError)."""
+        embed = self._cf.from_fraction
+        return FieldElement._reduced(self, tuple(map(embed, num)), tuple(map(embed, den)))
 
 
 def trivial_q() -> BaseFieldModel:
@@ -418,9 +403,10 @@ def pi_adic_fp(p: int) -> BaseFieldModel:
 class FieldElement:
     """An exact element of a base-field model, in canonical form.
 
-    The payload is a reduced ratio num/den of polynomials in pi with a
-    monic denominator; for the rational models both polynomials have
-    degree zero, so the element is just a Fraction.
+    The payload is the ratio num/den of polynomials in pi in lowest terms
+    with a monic denominator, so equal elements have equal payloads; for
+    the rational models both polynomials have degree zero, so the element
+    is just a Fraction.
     """
 
     __slots__ = ("model", "num", "den")
@@ -432,10 +418,9 @@ class FieldElement:
 
     @classmethod
     def _reduced(cls, model, num, den) -> "FieldElement":
-        """Light normalization: strip zeros, cancel common pi powers, fold a
-        constant denominator.  A full gcd reduction runs only when the
-        combined degree crosses _REDUCE_DEGREE; values, zero tests and
-        equality are exact on the lightly normalized form."""
+        """The canonical form of num/den: strip zeros, cancel common pi
+        powers and fold a constant denominator; any longer denominator goes
+        through the full gcd reduction (_full_reduce)."""
         cf = model._cf
         num = _pstrip(num, cf)
         den = _pstrip(den, cf)
@@ -452,9 +437,7 @@ class FieldElement:
             if not cf.is_zero(cf.sub(c, cf.one)):
                 num = tuple(cf.div(a, c) for a in num)
             return cls(model, num, (cf.one,))
-        if len(num) + len(den) > _REDUCE_DEGREE:
-            num, den = _full_reduce(num, den, cf)
-        return cls(model, num, den)
+        return cls(model, *_full_reduce(num, den, cf))
 
     @classmethod
     def _monomial(cls, model, c, k: int) -> "FieldElement":
@@ -464,14 +447,6 @@ class FieldElement:
         if k >= 0:
             return cls(model, (cf.zero,) * k + (c,), (cf.one,))
         return cls(model, (c,), (cf.zero,) * -k + (cf.one,))
-
-    def _canonical(self) -> tuple:
-        """Fully reduced payload (lowest terms, monic denominator)."""
-        cf = self.model._cf
-        if not self.num or self.den == (cf.one,):
-            return self.num, self.den
-        num, den = _full_reduce(self.num, self.den, cf)
-        return num, den
 
     # -- ring/field operations ------------------------------------------------
 
@@ -541,19 +516,12 @@ class FieldElement:
             return (self.model.one() / self) ** (-k)
         if k == 0:
             return self.model.one()
-        cf = self.model._cf
         num, den = self.num, self.den
-        # c*pi^i and a/(b*pi^j) go straight to their k-th power, in the
-        # payload repeated multiplication leaves: c^k*pi^(ik) over 1, and
-        # a^k/(b^k*pi^(jk)), fully reduced past _REDUCE_DEGREE
-        if num and not any(num[:-1]) and den == (cf.one,):
-            return FieldElement._monomial(self.model, cf.pow(num[-1], k), (len(num) - 1) * k)
-        if len(num) == 1 and len(den) > 1 and not any(den[:-1]):
-            a, b = cf.pow(num[0], k), cf.pow(den[-1], k)
-            zeros = (cf.zero,) * ((len(den) - 1) * k)
-            if len(zeros) + 2 > _REDUCE_DEGREE:
-                return FieldElement(self.model, (cf.div(a, b),), zeros + (cf.one,))
-            return FieldElement(self.model, (a,), zeros + (b,))
+        # c*pi^i and c/pi^j (the monic denominator of a monomial is a power
+        # of pi) go straight to c^k*pi^((i - j)k)
+        if num and not any(num[:-1]) and not any(den[:-1]):
+            c = self.model._cf.pow(num[-1], k)
+            return FieldElement._monomial(self.model, c, (len(num) - len(den)) * k)
         result = self.model.one()
         base = self
         while k:
@@ -575,13 +543,10 @@ class FieldElement:
         if not isinstance(other, (FieldElement, int, Fraction)):
             return NotImplemented
         other = self._check(other)
-        if self.den == other.den:
-            return self.num == other.num
-        cf = self.model._cf
-        return _pmul(self.num, other.den, cf) == _pmul(other.num, self.den, cf)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.model,) + self._canonical())
+        return hash((self.model, self.num, self.den))
 
     # -- the valuation ---------------------------------------------------------
 
@@ -616,13 +581,10 @@ class FieldElement:
         return " + ".join(parts) if parts else "0"
 
     def __str__(self):
-        if self.model.kind in (TRIVIAL_Q, P_ADIC_Q):
-            return str(self.num[0]) if self.num else "0"
-        num, den = self._canonical()
-        num_s = self._poly_str(num)
-        if den == (self.model._cf.one,):
+        num_s = self._poly_str(self.num)
+        if self.den == (self.model._cf.one,):
             return num_s
-        return f"({num_s})/({self._poly_str(den)})"
+        return f"({num_s})/({self._poly_str(self.den)})"
 
     def __repr__(self):
         return f"<{self} in {self.model.kind}>"

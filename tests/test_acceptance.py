@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from nonarch.fields import p_adic_q, pi_adic_q
+from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
 from nonarch.forms import (
     MonomialChart,
     Pluriform,
@@ -18,7 +18,14 @@ from nonarch.forms import (
 from nonarch.laurent import LaurentPoly, gauss_val
 from nonarch.lattices import PresentationMatrix, content, det_val, semilattice_index, smith
 from nonarch.seminorms import DiagSeminorm, norm_index
-from nonarch.tropical import min_locus, polytope_vertices, semistable_skeleton, trop_eval, tropicalize
+from nonarch.tropical import (
+    min_locus,
+    polytope_vertices,
+    retract,
+    semistable_skeleton,
+    trop_eval,
+    tropicalize,
+)
 from nonarch.values import Val, vsum
 from nonarch.weights import KummerDivisorialSpec, compare, different_kummer_ramified, log_different
 
@@ -311,3 +318,64 @@ def test_criterion_11_divisorial_max_sanity():
             assert any(trop_eval(poly, v).fraction == m_star for v in witnesses)
             for v in witnesses:
                 assert all(isinstance(x, Fraction) for x in v)
+
+
+ALL_MODELS = [trivial_q(), p_adic_q(2), p_adic_q(3), pi_adic_q(), pi_adic_fp(2), pi_adic_fp(3)]
+
+
+def _top_form(rng, model, n):
+    """A nonzero top-degree pluriform f (dt1/t1 ^ ... ^ dtn/tn)^m, m = 1..2."""
+    f = _random_poly(rng, model, n, max_terms=4)
+    while f.is_zero:
+        f = _random_poly(rng, model, n, max_terms=4)
+    m = rng.randint(1, 2)
+    return Pluriform(model, n, n, m, {(tuple(range(1, n + 1)),) * m: f})
+
+
+def test_criterion_12_norms_fall_under_retraction():
+    rng = random.Random(112)
+    with criterion(12, "top-degree norms fall under retraction, strictly off the skeleton"):
+        for k in range(900):
+            model = ALL_MODELS[k % len(ALL_MODELS)]
+            n = rng.randint(1, 3)
+            phi = _top_form(rng, model, n)
+            units = [a for a in (1, -1, 2, 3, 5, 7) if model.elem(a).val() == Val(0)]
+            s = [LaurentPoly.variable(model, n, i) for i in range(1, n + 1)]
+            kind = ("identity", "translated", "quadratic")[k // len(ALL_MODELS) % 3]
+            if kind == "identity":
+                subs = s
+            elif kind == "translated":
+                subs = [x + model.elem(rng.choice(units)) for x in s]
+            else:
+                subs = [x * model.elem(rng.choice(units)) + x * x for x in s]
+            chart = MonomialChart(model, subs, _random_radii(rng, n, -4, 4))
+            norm = kahler_norm_at(phi, chart)
+            assert norm >= trop_eval(tropicalize(phi), retract(chart))
+
+        # off the skeleton: a nonempty set of coordinates unit-translated at
+        # positive radius; the retraction puts those at 0, so a point whose
+        # remaining radii lie in the simplex retracts into the skeleton
+        for k in range(300):
+            model = ALL_MODELS[k % len(ALL_MODELS)]
+            n = rng.randint(1, 3)
+            phi = _top_form(rng, model, n)
+            units = [a for a in (1, -1, 2, 3, 5, 7) if model.elem(a).val() == Val(0)]
+            moved = set(rng.sample(range(n), rng.randint(1, n)))
+            subs, rho = [], []
+            for i in range(n):
+                x = LaurentPoly.variable(model, n, i + 1)
+                if i in moved:
+                    subs.append(x + model.elem(rng.choice(units)))
+                    rho.append(Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+                else:
+                    subs.append(x)
+                    rho.append(Fraction(rng.randint(0, 3), rng.randint(1, 3)))
+            chart = MonomialChart(model, subs, rho)
+            poly = tropicalize(phi)
+            r = retract(chart)
+            norm = kahler_norm_at(phi, chart)
+            assert norm > trop_eval(poly, r)
+            if k % 4 == 0:
+                skel = semistable_skeleton(n, max(sum(r), Fraction(1)))
+                m_star, _ = min_locus(poly, skel)
+                assert skel.contains(r) and norm > Val(m_star)

@@ -1,10 +1,12 @@
+import operator
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nonarch.errors import DomainError
-from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
+from nonarch.fields import FieldElement, _pmul, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
 from nonarch.values import INF, Val
 
 MODELS = [trivial_q(), p_adic_q(2), p_adic_q(3), pi_adic_q(), pi_adic_fp(3)]
@@ -127,7 +129,7 @@ def _power_cases(model):
     for c in coeffs:
         for i in (1, 2, 5, 11):
             cases += [c * u ** i, c / u ** i]
-    # unreduced payloads: a/(b*pi^j) straight from the constructor
+    # a/(b*pi^j) and a ratio with a common factor, both reduced on entry
     if model.has_pi:
         cases += [model.from_pi_polys((1,), (0, 0, 2)), model.from_pi_polys((1, 1), (0, 2))]
     return coeffs + cases + [u + 1, model.zero()]
@@ -144,6 +146,103 @@ def test_closed_form_powers_match_repeated_multiplication(model):
             assert hash(got) == hash(want) and str(got) == str(want), (x, k)
             # the very payload repeated multiplication leaves
             assert (got.num, got.den) == (want.num, want.den), (x, k)
+
+
+def test_from_pi_polys_embeds_rational_coefficients_mod_p():
+    k = pi_adic_fp(3)
+    assert k.from_pi_polys((Fraction(1, 2),)) == k.elem(2)
+    assert k.from_pi_polys((0, Fraction(-1, 2)), (1, Fraction(1, 4))) == (
+        k.uniformizer() / (1 + k.uniformizer())
+    )
+    for num, den in [((Fraction(1, 3),), (1,)), ((1,), (1, Fraction(2, 3)))]:
+        with pytest.raises(DomainError):
+            k.from_pi_polys(num, den)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_from_pi_polys_int_coefficients_unchanged(p):
+    """Int coefficients, negative ones too, give the element the former
+    int(c) % p embedding built."""
+    k = pi_adic_fp(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        num = [rng.randint(-7, 7) for _ in range(rng.randint(0, 4))]
+        den = [rng.randint(-7, 7) for _ in range(rng.randint(1, 4))]
+        if all(c % p == 0 for c in den):
+            den[0] = 1
+        got = k.from_pi_polys(num, den)
+        want = FieldElement._reduced(k, tuple(c % p for c in num), tuple(c % p for c in den))
+        assert (got.num, got.den) == (want.num, want.den), (num, den)
+
+
+# -- the canonical form -------------------------------------------------------
+
+PI_MODELS = [pi_adic_q(), pi_adic_fp(2), pi_adic_fp(3)]
+
+
+def _cross_equal(x, y):
+    """Equality as decided before payloads were canonical: a/b == c/d
+    exactly when a*d == c*b.  Needs no reduced form."""
+    cf = x.model._cf
+    return _pmul(x.num, y.den, cf) == _pmul(y.num, x.den, cf)
+
+
+@st.composite
+def _pi_poly(draw, model):
+    coeffs = draw(st.lists(st.integers(-3, 3), max_size=4))
+    return model.from_pi_polys(coeffs)
+
+
+@st.composite
+def _element(draw, model, depth=3):
+    """A field element built by + - * / from small pi-polynomials."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(_pi_poly(model))
+    x = draw(_element(model, depth - 1))
+    y = draw(_element(model, depth - 1))
+    op = draw(st.sampled_from("+-*/"))
+    if op == "/" and y.is_zero:
+        op = "*"
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op](x, y)
+
+
+def _sympy_coprime(num, den, model):
+    """True when sympy's gcd of the two pi-polynomials over QQ or GF(p)
+    is a constant."""
+    from sympy import GF, QQ, Poly, gcd, symbols
+
+    domain = QQ if model.p is None else GF(model.p)
+    x = symbols("x")
+    return gcd(*(Poly(list(reversed(c)) or [0], x, domain=domain) for c in (num, den))).degree() == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_form_is_unique(data):
+    model = data.draw(st.sampled_from(PI_MODELS))
+    x = data.draw(_element(model))
+    y = data.draw(st.one_of(
+        _element(model),
+        # the same value by another route: x*c/c and x + c - c
+        _element(model).filter(bool).map(lambda c: x * c / c),
+        _element(model).map(lambda c: x + c - c),
+    ))
+    assert (x == y) == _cross_equal(x, y)
+    if x == y:
+        assert (x.num, x.den) == (y.num, y.den)
+        assert hash(x) == hash(y) and str(x) == str(y)
+
+    a, b, c = x, data.draw(_element(model)), data.draw(_element(model))
+    if b and c:
+        got, want = (a * c) / (b * c), a / b
+        assert (got.num, got.den) == (want.num, want.den)
+
+    # lowest terms with a monic denominator, checked by sympy
+    cf = model._cf
+    assert x.den[-1] == cf.one
+    if not x.num:
+        assert x.den == (cf.one,)
+    assert _sympy_coprime(x.num, x.den, model)
 
 
 def test_invariant_checks_run_under_optimize_flag():

@@ -17,6 +17,7 @@ from nonarch.forms import (
     tame_certificate,
 )
 from nonarch.laurent import LaurentPoly, gauss_val
+from nonarch.tropical import retract, trop_eval, tropicalize
 from nonarch.values import INF, Val
 
 
@@ -358,14 +359,14 @@ def _laurent(draw, model, n, max_terms, lo=-2, hi=2):
 
 
 @st.composite
-def _form_and_chart(draw):
-    """A pluriform of type (l, m), l = 0..n and m = 1..2, with one to three
-    basis indices, and a chart: the identity, monomial c*s^L (singular L
-    allowed), translated c + s_i, or a mix of those with general
-    substitutions."""
+def _form_and_chart(draw, top=False):
+    """A pluriform of type (l, m), l = 0..n (l = n when top) and m = 1..2,
+    with one to three basis indices, and a chart: the identity, monomial
+    c*s^L (singular L allowed), translated c + s_i, or a mix of those with
+    general substitutions."""
     model = draw(st.sampled_from(_MODELS))
     n = draw(st.integers(1, 3))
-    l = draw(st.integers(0, n))
+    l = n if top else draw(st.integers(0, n))
     m = draw(st.integers(1, 2))
     subsets = list(combinations(range(1, n + 1), l))
     index = st.lists(st.sampled_from(subsets), min_size=m, max_size=m).map(tuple)
@@ -393,6 +394,18 @@ def _form_and_chart(draw):
 def test_kahler_norm_matches_the_pullback_oracle(case):
     phi, chart = case
     assert kahler_norm_at(phi, chart) == _kahler_norm_by_pullback(phi, chart)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_form_and_chart(top=True))
+def test_top_degree_norms_fall_under_retraction(case):
+    """The norm at a chart point is at most the norm at its retraction to
+    the skeleton: in valuations, at least trop_eval there.  Read by the
+    initial-form fast path and by the whole pullback."""
+    phi, chart = case
+    bound = trop_eval(tropicalize(phi), retract(chart))
+    assert kahler_norm_at(phi, chart) >= bound
+    assert _kahler_norm_by_pullback(phi, chart) >= bound
 
 
 def test_kahler_norm_when_initial_forms_cancel(monkeypatch):
