@@ -81,10 +81,14 @@ def _parse_int(text: str, what: str) -> int:
 
 def _load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:  # line ends as a text-mode read gives them, for error positions
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.lineno, exc.colno) from exc
 
@@ -469,61 +473,101 @@ _HANDLERS = {
 }
 
 
+# The options every subcommand takes: (flag, dest, type, default, help).
+_FLAGS = (
+    ("--field", "field", None, "piadic-q", "trivial | padic:<p> | piadic-q | piadic-f<p>"),
+    ("--n", "n", int, 0, "number of variables"),
+    ("--point", "point", None, None, "comma-separated rational radii, e.g. '1/2,3'"),
+    ("--chart", "chart", None, None, "JSON file with a substitution list"),
+    ("--form", "form", None, None, "JSON file with a pluriform"),
+    ("--matrix", "matrix", None, None, "JSON file with matrix data"),
+    ("--polytope", "polytope", None, None, "JSON file with polytope constraints"),
+    ("--semistable", "semistable", None, None, "'<n>,<va>': the standard skeleton simplex"),
+    ("--kummer", "kummer", None, None, "Kummer layers 'j:e,...'"),
+    ("--m", "m", int, 1, "tensor power of the canonical form"),
+    ("--epsilon", "epsilon", None, None, "optional decimal base for approximate rendering"),
+    ("--grid", "grid", int, None, "grid steps per axis (grid subcommand)"),
+)
+_FLAG_DEST = {flag: (dest, kind) for flag, dest, kind, _, _ in _FLAGS}
+_DEFAULTS = {dest: default for _, dest, _, default, _ in _FLAGS}
+
+
 def _build_parser():
-    """The top-level parser and each subcommand's own parser, by name."""
-    import argparse  # only the first run() pays for it, not every import
+    """The top-level parser, with every subcommand's parser under it."""
+    import argparse  # only a run() that needs it pays for it, not every import
 
     parser = argparse.ArgumentParser(
         prog="nonarch",
         description="Exact non-archimedean seminorm and tropical skeleton calculator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
     for name in _HANDLERS:
-        p = subparsers[name] = sub.add_parser(name)
-        p.add_argument("--field", default="piadic-q",
-                       help="trivial | padic:<p> | piadic-q | piadic-f<p>")
-        p.add_argument("--n", type=int, default=0, help="number of variables")
-        p.add_argument("--point", help="comma-separated rational radii, e.g. '1/2,3'")
-        p.add_argument("--chart", help="JSON file with a substitution list")
-        p.add_argument("--form", help="JSON file with a pluriform")
-        p.add_argument("--matrix", help="JSON file with matrix data")
-        p.add_argument("--polytope", help="JSON file with polytope constraints")
-        p.add_argument("--semistable", help="'<n>,<va>': the standard skeleton simplex")
-        p.add_argument("--kummer", help="Kummer layers 'j:e,...'")
-        p.add_argument("--m", type=int, default=1, help="tensor power of the canonical form")
-        p.add_argument("--epsilon", help="optional decimal base for approximate rendering")
-        p.add_argument("--grid", type=int, help="grid steps per axis (grid subcommand)")
-    return parser, subparsers
+        p = sub.add_parser(name)
+        for flag, dest, kind, default, text in _FLAGS:
+            p.add_argument(flag, dest=dest, type=kind, default=default, help=text)
+    return parser
 
 
 _PARSER = None
 
 
 def _parser():
-    """The one (parser, subparsers) pair of the process, built on first use
-    (not at import, which would slow every import of the package) and only
-    read after."""
+    """The one top-level parser of the process, built on first use (not at
+    import, which would slow every import of the package) and only read
+    after."""
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
     return _PARSER
 
 
+_Namespace = None  # argparse.Namespace, imported by the first _read_argv
+
+
+def _read_argv(argv):
+    """The Namespace argparse gives a well-formed argv: an exact subcommand,
+    then exact '--flag=value' or '--flag value' pairs, the latter with a
+    value that does not start with '-', and an integer value where the flag
+    wants one.  None for any other argv."""
+    global _Namespace
+    if not argv or argv[0] not in _HANDLERS:
+        return None
+    if _Namespace is None:
+        from argparse import Namespace as _Namespace
+    args = _Namespace()
+    values = vars(args)
+    values["command"] = argv[0]
+    values.update(_DEFAULTS)
+    i, end = 1, len(argv)
+    while i < end:
+        token = argv[i]
+        flag = _FLAG_DEST.get(token)
+        if flag is not None:
+            i += 1
+            if i == end or argv[i].startswith("-"):  # argparse may read it as an option
+                return None
+            value = argv[i]
+        else:  # '--flag=value' takes any value, '-' first or not
+            name, eq, value = token.partition("=")
+            flag = _FLAG_DEST.get(name) if eq else None
+            if flag is None:
+                return None
+        dest, kind = flag
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        values[dest] = value
+        i += 1
+    return args
+
+
 def _parse_args(argv):
-    """The parsed arguments, entering argparse at the subcommand's own
-    parser.  The top-level parser hands everything after the subcommand to
-    that parser, so the result is the same; any other argv, or one that
-    leaves arguments over, goes through the top-level parser, which owns
-    the "unrecognized arguments" error and its usage line."""
-    parser, subparsers = _parser()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    """The parsed arguments: read directly when argv is well formed, else
+    by the top-level parser, which owns every error, help text and usage
+    line."""
+    return _read_argv(argv) or _parser().parse_args(argv)
 
 
 def run(argv) -> int:

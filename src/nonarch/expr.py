@@ -19,10 +19,16 @@ monomial c*pi^k*t^I, with c in the model's coefficient ring, which
 becomes a single coefficient when the term ends; only parenthesised sums
 (and their powers) go through LaurentPoly arithmetic.  The terms of a sum
 are added into one dict in place.
+
+The scanner is one regex: each match is a factor, an atom together with
+its '^' ['-'] INT exponent, or a single symbol.  Tokens keep no
+positions; an error scans the text again for the offset of its token and
+turns that into a line and column.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from operator import add
 
@@ -32,53 +38,54 @@ from .laurent import LaurentPoly
 
 __all__ = ["parse_poly", "poly_to_expr"]
 
-_SYMBOLS = "+-*^()/"
+# One token per match, as the strings (digits, name, ')', '-', exponent,
+# other): an atom -- a decimal run, a name or ')' -- with its optional
+# '^' ['-'] INT exponent, or any other non-space character, a symbol or an
+# error.  \d, \w and \s are str.isdecimal, str.isalnum-or-'_' and
+# str.isspace on every code point.
+_TOKEN = re.compile(r"(?:(\d+)|([^\W\d]\w*)|(\)))(?:\s*\^\s*(-)?\s*(\d+))?|(\S)")
+_END = ("",) * 6
+_SYMBOLS = "+-*^(/"
+_NOT_MONOMIAL = "negative exponent requires a single-term monomial base"
 
 
-def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("end", None, line, col))
-    return tokens
+def _position(text: str, at: int):
+    """The 1-based (line, column) of offset at; only '\n' ends a line."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
+def _scan_error(text: str):
+    """The ParseError of the first character that starts no token (one
+    outside the grammar, or a name that starts with no letter), or None.
+    An integer too long for int() raises its ValueError where the scan
+    meets it.  These errors come before any parse error."""
+    for m in _TOKEN.finditer(text):
+        digits, name, _, _, power, other = m.groups()
+        if other and other not in _SYMBOLS or name and not name[0].isalpha():
+            return ParseError(f"unexpected character {(other or name)[0]!r}",
+                              *_position(text, m.start()))
+        if digits:
+            int(digits)
+        if power:
+            int(power)
+    return None
+
+
+def _value(tok):
+    """A token as messages show it: an int, a name, a symbol, or None at
+    the end."""
+    digits, name, close, _, _, other = tok
+    return int(digits) if digits else name or close or other or None
 
 
 class _Parser:
-    def __init__(self, tokens, model: BaseFieldModel, n: int, variables: str):
-        self.tokens = tokens
+    """Recursive descent over the tokens of _TOKEN.findall.  Only the error
+    path looks at positions: it scans the text again for the offset."""
+
+    def __init__(self, text, model: BaseFieldModel, n: int, variables: str):
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append(_END)
         self.pos = 0
         self.model = model
         self.cf = model._cf
@@ -96,93 +103,126 @@ class _Parser:
         else:
             raise ValueError(f"unknown variable family {variables!r}")
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int, exponent: bool = False) -> ParseError:
+        """The error at token index (at its exponent with exponent set),
+        unless the scan of the whole text meets an error first."""
+        found = _scan_error(self.text)
+        if found is not None:
+            return found
+        at = len(self.text)
+        for i, m in enumerate(_TOKEN.finditer(self.text)):
+            if i == index:
+                at = m.start(5 if exponent else 0)
+                break
+        return ParseError(message, *_position(self.text, at))
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
-        return tok
+    def exponent(self, minus: str, power: str, pos: int) -> int:
+        """The exponent scanned with an atom, 1 without one.  The scanner
+        joins every '^' ['-'] INT to its atom, so a '^' token at pos has no
+        integer after it: raise the error that gives."""
+        if power:
+            return -int(power) if minus else int(power)
+        if self.tokens[pos][5] != "^":
+            return 1
+        i = pos + (2 if self.tokens[pos + 1][5] == "-" else 1)
+        raise self.error(f"expected 'int', found {_value(self.tokens[i])!r}", i)
 
     def parse(self) -> LaurentPoly:
         value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2], tok[3])
+        tok = self.tokens[self.pos]
+        if tok is not _END:
+            raise self.error(f"unexpected trailing input {_value(tok)!r}", self.pos)
         return value
 
     def expr(self) -> LaurentPoly:
         terms = {}
         self.term(terms, False)
-        while self.peek()[0] in ("+", "-"):
-            self.term(terms, self.take()[0] == "-")
-        return LaurentPoly._of(self.model, self.width, terms)
+        while True:
+            op = self.tokens[self.pos][5]
+            if op != "+" and op != "-":
+                return LaurentPoly._of(self.model, self.width, terms)
+            self.pos += 1
+            self.term(terms, op == "-")
 
     def term(self, terms: dict, negate: bool) -> None:
         """Add one product of factors to terms, in place.  Numbers, pi,
         variables and their powers multiply into c*pi^k*t^exps (c in the
-        coefficient ring); only parenthesised sums are LaurentPolys."""
-        cf = self.cf
-        c = cf.neg(cf.one) if negate else cf.one
-        k, exps, poly = 0, [0] * self.width, None
+        coefficient ring, None for 1); only parenthesised sums are
+        LaurentPolys."""
+        cf, tokens = self.cf, self.tokens
+        c, k, exps, poly = None, 0, [0] * self.width, None
+        pos = self.pos
         while True:
-            while self.peek()[0] == "-":
-                self.take()
-                c = cf.neg(c)
-            kind, value, line, col = self.take()
-            if kind == "int":
-                q = Fraction(value)
-                if self.peek()[0] == "/":
-                    self.take()
-                    den_tok = self.expect("int")
-                    if den_tok[1] == 0:
-                        raise ParseError("zero denominator in rational literal", den_tok[2], den_tok[3])
-                    q = Fraction(value, den_tok[1])
+            while tokens[pos][5] == "-":
+                pos += 1
+                negate = not negate
+            i = pos
+            digits, name, _, minus, power, other = tokens[i]
+            pos += 1
+            if digits:
+                q, j = int(digits), i  # j: the token that holds the exponent
+                if not power and tokens[pos][5] == "/":
+                    j = pos + 1
+                    pos = j + 1
+                    den, _, _, minus, power, _ = tokens[j]
+                    if not den:
+                        raise self.error(f"expected 'int', found {_value(tokens[j])!r}", j)
+                    if int(den) == 0:
+                        raise self.error("zero denominator in rational literal", j)
+                    q = Fraction(q, int(den))
                 try:
                     a = cf.from_fraction(q)
                 except DomainError as exc:
-                    raise ParseError(str(exc), line, col) from exc
-                e, tok = self.exponent()
+                    raise self.error(str(exc), i) from exc
+                e = self.exponent(minus, power, pos)
                 if e < 0 and cf.is_zero(a):
-                    raise _not_monomial(tok)
-                c = cf.mul(c, a if e == 1 else cf.pow(a, e))
-            elif kind == "name" and value == "pi":
-                if not self.model.has_pi:
-                    raise ParseError("symbol 'pi' requires a pi-adic base field", line, col)
-                k += self.exponent()[0]
-            elif kind == "name":
-                if not (len(value) == 2 and value[0] in self.prefixes and value[1].isdecimal()):
-                    raise ParseError(f"unknown symbol {value!r}", line, col)
-                idx = int(value[1])
-                if not 1 <= idx <= 9:
-                    raise ParseError(f"variable index in {value!r} must be 1..9", line, col)
-                if idx > self.n:
-                    raise ParseError(
-                        f"variable {value!r} exceeds the declared dimension n={self.n}", line, col
-                    )
-                exps[self.prefixes[value[0]] + idx - 1] += self.exponent()[0]
-            elif kind == "(":
+                    raise self.error(_NOT_MONOMIAL, j, exponent=True)
+                if e != 1:
+                    a = cf.pow(a, e)
+                c = a if c is None else cf.mul(c, a)
+            elif name:
+                if name == "pi":
+                    if not self.model.has_pi:
+                        raise self.error("symbol 'pi' requires a pi-adic base field", i)
+                    slot = None
+                elif not (len(name) == 2 and name[0] in self.prefixes and name[1].isdecimal()):
+                    raise self.error(f"unknown symbol {name!r}", i)
+                else:
+                    idx = int(name[1])
+                    if not 1 <= idx <= 9:
+                        raise self.error(f"variable index in {name!r} must be 1..9", i)
+                    if idx > self.n:
+                        raise self.error(f"variable {name!r} exceeds the declared dimension n={self.n}", i)
+                    slot = self.prefixes[name[0]] + idx - 1
+                e = self.exponent(minus, power, pos)
+                if slot is None:
+                    k += e
+                else:
+                    exps[slot] += e
+            elif other == "(":
+                self.pos = pos
                 inner = self.expr()
-                closing = self.take()
-                if closing[0] != ")":
-                    raise ParseError("expected ')'", closing[2], closing[3])
-                e, tok = self.exponent()
+                i = self.pos
+                pos = i + 1
+                _, _, close, minus, power, _ = tokens[i]
+                if not close:
+                    raise self.error("expected ')'", i)
+                e = self.exponent(minus, power, pos)
                 if e < 0 and len(inner.terms) != 1:
-                    raise _not_monomial(tok)
+                    raise self.error(_NOT_MONOMIAL, i, exponent=True)
                 if e != 1:
                     inner = inner ** e
                 poly = inner if poly is None else poly * inner
             else:
-                raise ParseError(f"unexpected token {value!r}", line, col)
-            if self.peek()[0] != "*":
+                raise self.error(f"unexpected token {_value(tokens[i])!r}", i)
+            if tokens[pos][5] != "*":
                 break
-            self.take()
+            pos += 1
+        self.pos = pos
+        if c is None:
+            c = cf.one
+        if negate:
+            c = cf.neg(c)
         if cf.is_zero(c):
             return
         coeff = FieldElement._monomial(self.model, c, k)
@@ -200,30 +240,13 @@ class _Parser:
                     continue
             terms[e] = a
 
-    def exponent(self):
-        """The integer after an optional '^' (1 without one), and its
-        token."""
-        if self.peek()[0] != "^":
-            return 1, None
-        self.take()
-        sign = 1
-        if self.peek()[0] == "-":
-            self.take()
-            sign = -1
-        tok = self.expect("int")
-        return sign * tok[1], tok
-
-
-def _not_monomial(tok) -> ParseError:
-    return ParseError("negative exponent requires a single-term monomial base", tok[2], tok[3])
-
 
 def parse_poly(text: str, model: BaseFieldModel, n: int, variables: str = "t") -> LaurentPoly:
     """Parse an expression into a LaurentPoly.
 
     variables='t' or 's' reads a single family mapped to indices 1..n;
     variables='ts' reads both (t_i -> i, s_i -> n+i, a 2n-variable ring)."""
-    return _Parser(_tokenize(text), model, n, variables).parse()
+    return _Parser(text, model, n, variables).parse()
 
 
 def _coeff_factors(elem) -> list:

@@ -31,16 +31,37 @@ PI_ADIC_Q = "pi-adic-q"
 PI_ADIC_FP = "pi-adic-fp"
 
 
+# Miller-Rabin on the first thirteen primes as bases is exact below
+# 3 317 044 064 679 887 385 961 981, the least strong pseudoprime to all of
+# them (OEIS A014233); a larger p is refused rather than guessed at.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; raises DomainError
+    for n at or above _PRIME_LIMIT."""
+    if n >= _PRIME_LIMIT:
+        raise DomainError(f"p = {n} is not below {_PRIME_LIMIT}, where the primality test is exact")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -278,6 +299,8 @@ def _z_div_exact(a, b):
         if q:
             for i, c in enumerate(b):
                 a[shift + i] -= q * c
+    if any(a[:len(b) - 1]):
+        raise InvariantError("integer polynomial division leaves a remainder")
     return tuple(out)
 
 

@@ -1,16 +1,61 @@
 """The expression parser as it was before products of atoms were built as
 single monomials: every factor a LaurentPoly, multiplied and added out.
 Kept as the oracle the grammar fuzz in test_expr.py compares parse_poly
-with (value, str, hash, term order and errors)."""
+with (value, str, hash, term order and errors).  Its tokenizer is the
+character-by-character one parse_poly used before its scanner read one
+factor per regex match, so the oracle shares no code with that scanner."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from nonarch.errors import DomainError, ParseError
-from nonarch.expr import _tokenize
 from nonarch.fields import BaseFieldModel
 from nonarch.laurent import LaurentPoly
+
+
+_SYMBOLS = "+-*^()/"
+
+
+def _tokenize(text):
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch in _SYMBOLS:
+            tokens.append((ch, ch, line, col))
+            col += 1
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(("int", int(text[i:j]), line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("end", None, line, col))
+    return tokens
 
 
 class _Parser:

@@ -371,6 +371,10 @@ _documents = st.one_of(
         {"a": st.lists(_exprs, max_size=3), "b": _exprs}), max_size=4)}),
     st.fixed_dictionaries({"substitutions": st.lists(_exprs, max_size=3)}),
     st.fixed_dictionaries({"g": _exprs}),
+    # raw bytes: not UTF-8, UTF-16, a UTF-8 BOM, lone CR line ends
+    st.sampled_from([b"\xff", b'{"entries": [["\xff"]]}', '{"n": 1}'.encode("utf-16"),
+                     b'\xef\xbb\xbf{"entries": [["1"]]}', b'{\r"entries":\r[["1"]]\r}', b"{\r\r"]),
+    st.binary(max_size=8),
 )
 _COMMANDS = ["eval-norm", "trop", "max-locus", "smith", "content", "index", "adic",
              "weight-compare", "retract", "tame-check", "grid", "nosuch"]
@@ -398,8 +402,8 @@ def test_random_documents_and_argv_keep_the_exit_contract(command, options, docs
     with tempfile.TemporaryDirectory() as tmp:
         for flag, doc in docs.items():
             path = os.path.join(tmp, flag[2:] + ".json")
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle)
+            with open(path, "wb") as handle:
+                handle.write(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
             argv += [flag, path]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -480,7 +484,7 @@ def test_grid_csv_matches_the_naive_walk(case):
 
 
 def _full_parser_path(argv):
-    return cli._parser()[0].parse_args(argv)
+    return cli._parser().parse_args(argv)
 
 
 def _run_both(monkeypatch, argv):
@@ -582,3 +586,94 @@ def test_largest_allowed_grid_runs(tmp_path, capsys):
     code, out, _ = invoke(capsys, "grid", "--grid", "315", "--semistable", "2,1", "--form", form)
     assert code == 0
     assert len(out.splitlines()) == 1 + 316 * 317 // 2
+
+
+def test_undecodable_input_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    for data in (b'{"entries": [["\xff"]]}', '{"entries": [["1"]]}'.encode("utf-16")):
+        path.write_bytes(data)
+        code, out, err = invoke(capsys, "smith", "--field", "padic:2", "--matrix", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"domain error: cannot read {path}: 'utf-8' codec can't decode byte")
+    # a UTF-8 byte order mark stays a JSON parse error
+    path.write_bytes(b'\xef\xbb\xbf{"entries": [["1"]]}')
+    code, out, err = invoke(capsys, "smith", "--field", "padic:2", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert "Unexpected UTF-8 BOM" in err
+
+
+@pytest.mark.parametrize("data", [b'{\r"entries":\r[["1"],\r', b'{\r\n"a":\r\n  x}', b'\r\r\r  [1,,'])
+def test_json_error_positions_count_lines_as_a_text_read(tmp_path, capsys, data):
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as handle:  # a text-mode read: universal newlines
+        text = handle.read()
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    code, out, err = invoke(capsys, "smith", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert f"(line {want.value.lineno}, column {want.value.colno})" in err
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    matrix = write(tmp_path, "m.json", {"entries": [["2", "1"], ["4", "8"]]})
+    for argv, code in ((["smith", "--field", "padic:2", "--matrix", matrix], 0),
+                       (["smith", "--field=padic:4", "--matrix", matrix], 3),
+                       (["smith", "--bogus"], 2)):
+        monkeypatch.setattr("sys.argv", ["nonarch"] + argv)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        out = capsys.readouterr()
+        assert exit_.value.code == code
+        assert (code, out.out, out.err) == invoke(capsys, *argv)
+    assert out.err.endswith("error: unrecognized arguments: --bogus\n")
+
+
+_INT_VALUES = ["1", "0", "12", " 2", "+3", "1_0", "\u0663", "-1", "x", "", "1.5", "--n"]
+_TEXT_VALUES = ["padic:2", "1/2,3", "", "a=b", "x.json", "-x", "--form", "smith", "-1", "=", " "]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv drawn from the flag table: mostly '--flag value' and
+    '--flag=value' pairs, with repeated flags, abbreviations, a missing
+    value, '-'-leading values, unknown flags and unknown subcommands."""
+    argv = [draw(st.sampled_from(list(cli._HANDLERS) * 3 + ["frobnicate", "smi", "-h", "--n"]))]
+    for _ in range(draw(st.integers(0, 6))):
+        flag, _, kind, _, _ = draw(st.sampled_from(cli._FLAGS))
+        value = draw(st.sampled_from(_INT_VALUES if kind is int else _TEXT_VALUES))
+        form = draw(st.sampled_from(["pair"] * 6 + ["equals"] * 3 + ["abbrev", "bare", "unknown", "stray"]))
+        if form == "pair":
+            argv += [flag, value]
+        elif form == "equals":
+            argv.append(f"{flag}={value}")
+        elif form == "abbrev":
+            argv += [flag[:draw(st.integers(3, len(flag)))], value]
+        elif form == "bare":
+            argv.append(flag)
+        elif form == "unknown":
+            argv += ["--bogus", value]
+        else:
+            argv.append(draw(st.sampled_from(["-h", "--help", "--", "extra", "-x", "--m=1=2"])))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_direct_argv_read_matches_argparse(argv):
+    args = cli._read_argv(argv)
+    if args is None:
+        return  # argparse reads it
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert args == cli._parser().parse_args(argv)
+
+
+def test_well_formed_argv_is_read_directly(tmp_path):
+    argv = ["eval-norm", "--field", "padic:3", "--n", "2", "--point=1/2,3", "--form", "f.json",
+            "--m", "2", "--epsilon=1/3", "--n", "1", "--grid", "4", "--kummer", "1:2"]
+    args = cli._read_argv(argv)
+    assert args is not None and args == cli._parser().parse_args(argv)
+    assert (args.n, args.m, args.grid, args.point) == (1, 2, 4, "1/2,3")
+    for bad in (["eval-norm", "--n"], ["eval-norm", "--n", "-1"], ["eval-norm", "--n", "x"],
+                ["eval-norm", "--fie", "trivial"], ["eval-norm", "-h"], ["evalnorm"], []):
+        assert cli._read_argv(bad) is None

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonarch.errors import DomainError
-from nonarch.fields import FieldElement, _pmul, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
+from nonarch.errors import DomainError, InvariantError
+from nonarch.fields import (
+    _PRIME_LIMIT, FieldElement, _is_prime, _pmul, _z_div_exact, p_adic_q, pi_adic_fp, pi_adic_q,
+    trivial_q,
+)
 from nonarch.values import INF, Val
 
 MODELS = [trivial_q(), p_adic_q(2), p_adic_q(3), pi_adic_q(), pi_adic_fp(3)]
@@ -266,3 +269,39 @@ def test_invariant_checks_run_under_optimize_flag():
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised:")
+
+
+def test_is_prime_matches_sympy():
+    from sympy import isprime
+
+    assert [n for n in range(-3, 10 ** 4) if _is_prime(n)] == \
+        [n for n in range(-3, 10 ** 4) if isprime(n)]
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.getrandbits(60) | 1 << 59
+        assert _is_prime(n) == isprime(n), n
+    assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 67 - 1)
+    # a strong pseudoprime to the first twelve prime bases: base 41 is needed
+    assert not _is_prime(318665857834031151167461)
+    assert not isprime(318665857834031151167461)
+
+
+def test_primes_past_the_exact_limit_are_refused():
+    from sympy import isprime
+
+    assert _is_prime(_PRIME_LIMIT - 2) == isprime(_PRIME_LIMIT - 2)
+    for p in (_PRIME_LIMIT, 2 ** 127 - 1):
+        with pytest.raises(DomainError, match="where the primality test is exact"):
+            p_adic_q(p)
+        with pytest.raises(DomainError, match="where the primality test is exact"):
+            pi_adic_fp(p)
+    assert p_adic_q(2 ** 61 - 1).p == 2 ** 61 - 1
+
+
+def test_z_div_exact_checks_the_remainder():
+    assert _z_div_exact((-1, 0, 1), (1, 1)) == (-1, 1)
+    assert _z_div_exact((2, 4), (1, 2)) == (2,)
+    with pytest.raises(InvariantError):
+        _z_div_exact((1, 0, 1), (1, 1))  # (t^2 + 1) = (t - 1)(t + 1) + 2
+    with pytest.raises(InvariantError):
+        _z_div_exact((1, 2, 1, 1), (1, 1, 1))
