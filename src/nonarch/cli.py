@@ -10,12 +10,13 @@ rendering base --epsilon is given.  Exit codes: 0 success, 2 parse error
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError, ParseError
-from .expr import parse_poly
+from .expr import _position, parse_poly
 from .fields import BaseFieldModel, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
 from .forms import MonomialChart, Pluriform, kahler_norm_at, tame_certificate
 from .lattices import ElementaryDivisors, PresentationMatrix, adic_norm, content, semilattice_index, smith
@@ -91,6 +92,13 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", exc.lineno, exc.colno) from exc
+    except ValueError:  # the only other error: an integer longer than int() reads
+        limit = sys.get_int_max_str_digits()
+        # a JSON string (skipped), or an integer with its digits in group 1
+        atoms = re.finditer(r'"(?:[^"\\]|\\.)*"|(?<![\w.+-])-?(\d+)(?![\w.])', text)
+        bad = next(m for m in atoms if len(m[1] or "") > limit)
+        raise ParseError(f"invalid JSON in {path}: integer of {len(bad[1])} digits is too long",
+                         *_position(text, bad.start())) from None
 
 
 # The flag and the shape of every JSON document the subcommands read.  A
@@ -595,3 +603,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -56,18 +56,20 @@ def _position(text: str, at: int):
 
 def _scan_error(text: str):
     """The ParseError of the first character that starts no token (one
-    outside the grammar, or a name that starts with no letter), or None.
-    An integer too long for int() raises its ValueError where the scan
-    meets it.  These errors come before any parse error."""
+    outside the grammar, or a name that starts with no letter) or integer
+    literal too long for int(), or None.  These errors come before any
+    parse error."""
     for m in _TOKEN.finditer(text):
-        digits, name, _, _, power, other = m.groups()
+        _, name, _, _, _, other = m.groups()
         if other and other not in _SYMBOLS or name and not name[0].isalpha():
             return ParseError(f"unexpected character {(other or name)[0]!r}",
                               *_position(text, m.start()))
-        if digits:
-            int(digits)
-        if power:
-            int(power)
+        for group in (1, 5):  # the atom's digits, then the exponent's
+            try:
+                int(m[group] or 0)
+            except ValueError:
+                return ParseError(f"integer literal of {len(m[group])} digits is too long",
+                                  *_position(text, m.start(group)))
     return None
 
 
@@ -128,10 +130,15 @@ class _Parser:
         raise self.error(f"expected 'int', found {_value(self.tokens[i])!r}", i)
 
     def parse(self) -> LaurentPoly:
-        value = self.expr()
-        tok = self.tokens[self.pos]
-        if tok is not _END:
-            raise self.error(f"unexpected trailing input {_value(tok)!r}", self.pos)
+        try:
+            value = self.expr()
+            tok = self.tokens[self.pos]
+            if tok is not _END:
+                raise self.error(f"unexpected trailing input {_value(tok)!r}", self.pos)
+        except ValueError as exc:  # int() refused a literal before any parse error
+            if type(exc) is not ValueError or (found := _scan_error(self.text)) is None:
+                raise
+            raise found from None
         return value
 
     def expr(self) -> LaurentPoly:

@@ -13,8 +13,8 @@ auxiliary variables carrying fixed Gauss radii; in the latter case entry
 valuations are generalized Gauss valuations.  The kernel runs on ints for
 the rational models (each row scaled by the lcm of its denominators), on
 field elements for the pi-adic ones and on Laurent polynomials otherwise
-(_kernel_rows).  It also gives exact integer and Laurent determinants
-(_det) to forms and tropical.
+(_kernel_rows).  It also gives forms exact integer and Laurent
+determinants (_det), and tropical the pivot columns of a constraint matrix.
 """
 
 from __future__ import annotations

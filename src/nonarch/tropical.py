@@ -6,16 +6,15 @@ Tropicalizing a pluriform in identity-chart coordinates keeps one term
 constant; evaluating the resulting min-plus polynomial at rational radii
 reproduces the Kahler norm at the corresponding monomial point, exactly.
 
-Minimizing a min-plus polynomial over a rational polytope needs no LP
-when the polytope has a vertex.  One integer vertex pass (constraint rows
-scaled to integers once, fraction-free solves, one tight set per vertex)
-shows it nonempty; integer cross products of the rows tight at a vertex
-show its recession cone is zero; and every term is scored at every vertex
-as one integer over a common denominator.  One feasibility LP names the
-failure when there is no vertex.  Every affine term dominates the
-minimum on the whole polytope, so each term attaining the optimum does
-so exactly on a face; the locus of minimality (maximality of the
-multiplicative norm) is the union of those faces.
+Minimizing a min-plus polynomial over a rational polytope needs no LP,
+only one fraction-free integer solver: a vertex pass over the n-subsets
+of constraint rows shows the polytope nonempty, a solve at each basis of
+rows tight at a vertex shows that no edge is a ray (so it is bounded),
+and every term is scored at every vertex as one integer over a common
+denominator.  Every affine term dominates the minimum on the whole
+polytope, so each term attaining the optimum does so exactly on a face;
+the locus of minimality (maximality of the multiplicative norm) is the
+union of those faces.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from operator import itemgetter, mul
 
 from .errors import DomainError
 from .forms import MonomialChart, Pluriform
-from .lattices import _det
+from .lattices import _bareiss
 from .laurent import gauss_val
 from .lp import INFEASIBLE, lp_min
 from .values import INF, Val
@@ -46,6 +45,8 @@ __all__ = [
     "polytope_vertices",
     "bounded_vertices",
 ]
+
+_UNBOUNDED = "unbounded polyhedron; a bounded polytope is required"
 
 
 class TropPoly:
@@ -183,10 +184,11 @@ def _vertex_pass(p: RationalPolytope):
     seen = set()
     found = []
     for subset in combinations(rows, n):
-        solved = _solve_int(subset, n)
+        solved = _solve_int([a + [b] for a, b in subset], n)
         if solved is None:
             continue
-        nums, den = solved
+        sol, den = solved
+        nums = [r[0] for r in sol]
         g = gcd(den, *nums)
         if g > 1:
             nums, den = [x // g for x in nums], den // g
@@ -207,30 +209,31 @@ def _vertex_pass(p: RationalPolytope):
     return rows, found
 
 
-def _solve_int(subset, n):
-    """Solve the square integer system of the rows (a, b) by fraction-free
-    Gauss-Jordan (Bareiss) elimination: (nums, den) with den > 0 and
-    x = nums / den, or None when the rows are dependent.  Every entry is a
-    minor of the augmented matrix, so each division is exact, and the last
-    pivot is the determinant."""
-    m = [a + [b] for a, b in subset]
+def _solve_int(m, n):
+    """Solve A X = den R in place for the rows [A_i | R_i] of m (n columns
+    of A, any number of R) by fraction-free Gauss-Jordan (Bareiss)
+    elimination: (X as a list of rows, den > 0), or None when A is
+    singular.  Every entry is a minor of m, so each division is exact."""
     prev = 1
     for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
+        piv = k if m[k][k] else next((r for r in range(k + 1, n) if m[r][k]), None)
         if piv is None:
             return None
         m[k], m[piv] = m[piv], m[k]
         top = m[k]
         head = top[k]
-        for r in range(n):
-            if r != k:
-                row = m[r]
+        tail = top[k + 1:]
+        for row in m:
+            if row is not top:
                 f = row[k]
-                row[k + 1:] = [(head * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+                if f:
+                    row[k + 1:] = [(head * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+                else:
+                    row[k + 1:] = [head * x // prev for x in row[k + 1:]]
         prev = head
     if prev < 0:
-        return [-row[n] for row in m], -prev
-    return [row[n] for row in m], prev
+        return [[-x for x in row[n:]] for row in m], -prev
+    return [row[n:] for row in m], prev
 
 
 def polytope_vertices(p: RationalPolytope) -> tuple:
@@ -243,49 +246,36 @@ def bounded_vertices(p: RationalPolytope) -> tuple:
     """The vertices of p, once p is shown nonempty and bounded (DomainError
     otherwise).
 
-    A vertex makes p nonempty and its constraint matrix A of rank n, so
-    the recession cone {d : A d <= 0} is pointed.  If the cone holds some
-    d != 0, the simplex method run from a vertex towards -d ends on an
-    unbounded edge: a ray whose direction is spanned by n - 1 independent
-    rows tight at that vertex.  So p is bounded unless, for such rows, the
-    d they span has d or -d in the cone.  Without a vertex, p is empty or
-    holds a line, and one feasibility LP tells which."""
+    A vertex gives the constraint matrix A rank n, and then p is unbounded
+    exactly when an edge is a ray.  Its n - 1 rows tight along the ray and
+    one more tight at the vertex form a basis T, and the ray runs along -x
+    for a column x of X, where A_T X = den I and den > 0.  So p is bounded
+    unless some such x has A x >= 0; for the rows N outside T, one solve of
+    A_T^T Y = den A_N^T gives Y = (A_N X)^T.  Without a vertex, p is empty
+    or holds a line along ker A, and a vertex pass on the pivot columns of
+    A (lattices._bareiss), a complement of ker A, tells which."""
     return tuple(v[0] for v in _bounded_pass(p))
 
 
 def _bounded_pass(p: RationalPolytope) -> list:
     """The vertex pass of a polytope shown nonempty and bounded, as
     bounded_vertices describes."""
+    n = p.n
     rows, found = _vertex_pass(p)
-    if found and not (p.n and _has_unbounded_edge(rows, found, p.n)):
+    if found:
+        columns = list(zip(*(a for a, _ in rows)))
+        for *_, tight in found:
+            for basis in combinations(tight, n):
+                order = [*basis, *(i for i in range(len(rows)) if i not in basis)]
+                solved = _solve_int([[c[i] for i in order] for c in columns], n)
+                if solved is not None and any(all(y >= 0 for y in row) for row in solved[0]):
+                    raise DomainError(_UNBOUNDED)
         return found
-    # in dimension 0 the point () is a vertex whenever p is nonempty
-    if not found and (not p.n or lp_min([0] * p.n, [list(a) for a, _ in p.constraints],
-                                        [b for _, b in p.constraints])[0] == INFEASIBLE):
+    cols = [c for _, c in _bareiss([a[:] for a, _ in rows])[0]]
+    if len(cols) == n or not _vertex_pass(
+            RationalPolytope(len(cols), [([a[c] for c in cols], b) for a, b in rows]))[1]:
         raise DomainError("empty polytope")
-    raise DomainError("unbounded polyhedron; a bounded polytope is required")
-
-
-def _has_unbounded_edge(rows, found, n) -> bool:
-    """Whether an edge of p leaves one of its vertices along a direction of
-    the recession cone (n >= 1), from the integer rows and the stored
-    tight sets of the vertex pass.  The direction d spanned by n - 1 rows
-    is their generalized cross product: d_j = (-1)^j * (the minor without
-    column j), zero exactly when the rows are dependent."""
-    seen = set()
-    for *_, tight in found:
-        for subset in combinations(tight, n - 1):
-            if subset in seen:
-                continue
-            seen.add(subset)
-            edge = [rows[i][0] for i in subset]
-            d = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in edge]) for j in range(n)]
-            if not any(d):
-                continue
-            dots = [sum(map(mul, a, d)) for a, _ in rows]
-            if all(x <= 0 for x in dots) or all(x >= 0 for x in dots):
-                return True
-    return False
+    raise DomainError(_UNBOUNDED)
 
 
 @dataclass(frozen=True)
@@ -313,7 +303,7 @@ def min_locus(poly: TropPoly, p: RationalPolytope):
     locus where it is attained.
 
     Once the vertex pass has shown P nonempty and bounded (by integer
-    linear algebra; an LP runs only when P has no vertex), every affine
+    linear algebra alone, as bounded_vertices describes), every affine
     term attains its minimum over P at a vertex, so one pass over the
     vertex list gives each term's minimum and m_star.  Each term is scored
     at each vertex nums / den as one integer over the common denominator

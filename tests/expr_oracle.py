@@ -41,7 +41,10 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), line, col))
+            try:
+                tokens.append(("int", int(text[i:j]), line, col))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"integer literal of {j - i} digits is too long", line, col) from None
             col += j - i
             i = j
             continue

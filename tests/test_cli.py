@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -348,7 +350,7 @@ def test_malformed_documents_keep_the_exit_contract(tmp_path, capsys, argv, phra
 _KEYS = ["n", "l", "m", "entries", "e", "coeff", "nvars", "M", "L", "divisors", "free_rank",
          "coords", "constraints", "a", "b", "g", "substitutions"]
 _SNIPPETS = ["t1", "1 + t1^-2", "pi^3*t1", "2^-400", "t1 +", "(", "", "3/4", "pi", "s1", "t2*t1",
-             "1/0", "5", "0", "x", "\u00b2", "t\u00b2", "t1^\u00b2"]
+             "1/0", "5", "0", "x", "\u00b2", "t\u00b2", "t1^\u00b2", "9" * 5001, "t1^" + "9" * 5001]
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 6), st.sampled_from(_SNIPPETS),
                      st.sampled_from([0.5, 1.0, float("nan")]))
 _small = st.one_of(st.integers(-1, 3), st.sampled_from(["2", "x", None, [1]]))
@@ -373,7 +375,8 @@ _documents = st.one_of(
     st.fixed_dictionaries({"g": _exprs}),
     # raw bytes: not UTF-8, UTF-16, a UTF-8 BOM, lone CR line ends
     st.sampled_from([b"\xff", b'{"entries": [["\xff"]]}', '{"n": 1}'.encode("utf-16"),
-                     b'\xef\xbb\xbf{"entries": [["1"]]}', b'{\r"entries":\r[["1"]]\r}', b"{\r\r"]),
+                     b'\xef\xbb\xbf{"entries": [["1"]]}', b'{\r"entries":\r[["1"]]\r}', b"{\r\r",
+                     b'{"n": ' + b"9" * 5001 + b"}", b'{"n": 1, "entries": [[-' + b"9" * 5001 + b"]]}"]),
     st.binary(max_size=8),
 )
 _COMMANDS = ["eval-norm", "trop", "max-locus", "smith", "content", "index", "adic",
@@ -615,6 +618,21 @@ def test_json_error_positions_count_lines_as_a_text_read(tmp_path, capsys, data)
     assert f"(line {want.value.lineno}, column {want.value.colno})" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"n": 1, "entries": [{"e": [[1]], "coeff": "t1 + %s"}]}', "integer literal of 5001 digits is "
+     "too long (line 1, column 6)"),
+    ('{"n": %s, "entries": []}', "invalid JSON in {path}: integer of 5001 digits is too long "
+     "(line 1, column 7)"),
+    ('{"s": "%s",\n "x": [1.5, -0.%s, 1e%s,\n  -%s]}', "invalid JSON in {path}: integer of 5001 "
+     "digits is too long (line 3, column 3)"),
+], ids=["coeff", "json n", "json after strings and floats"])
+def test_overlong_integers_are_parse_errors(tmp_path, capsys, doc, message):
+    path = tmp_path / "f.json"
+    path.write_text(doc.replace("%s", "9" * 5001))
+    code, out, err = invoke(capsys, "trop", "--n", "1", "--form", str(path))
+    assert (code, out, err) == (2, "", f"parse error: {message.format(path=path)}\n")
+
+
 def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
     matrix = write(tmp_path, "m.json", {"entries": [["2", "1"], ["4", "8"]]})
     for argv, code in ((["smith", "--field", "padic:2", "--matrix", matrix], 0),
@@ -627,6 +645,17 @@ def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
         assert exit_.value.code == code
         assert (code, out.out, out.err) == invoke(capsys, *argv)
     assert out.err.endswith("error: unrecognized arguments: --bogus\n")
+
+
+def test_module_entry_point_runs_main(tmp_path, capsys):
+    matrix = write(tmp_path, "m.json", {"entries": [["2", "1"], ["4", "8"]]})
+    argv = ["smith", "--field", "padic:2", "--matrix", matrix]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "nonarch.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == invoke(capsys, *argv)
+    assert proc.stdout
 
 
 _INT_VALUES = ["1", "0", "12", " 2", "+3", "1_0", "\u0663", "-1", "x", "", "1.5", "--n"]

@@ -102,9 +102,26 @@ def test_other_decimal_digits_still_parse():
     assert parse_poly("\u0663*t\u0661", k, 1) == LaurentPoly.variable(k, 1, 1) * 3
 
 
+_LONG = "9" * 5001  # past int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (_LONG, 1, 1), ("t1 + 3/" + _LONG, 1, 8), ("t1^" + _LONG, 1, 4), ("2*\n (t1)^-" + _LONG, 2, 8),
+    ("x + " + _LONG, 1, 5), (_LONG + " $", 1, 1), ("$ " + _LONG, 1, 1), ("(t1 " + _LONG, 1, 5),
+    ("t1 " + _LONG, 1, 4),
+], ids=["atom", "denominator", "exponent", "paren exponent", "after a name", "before a bad char",
+        "after a bad char", "after an unclosed paren", "trailing"])
+def test_overlong_integer_literals_are_parse_errors(text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, pi_adic_q(), 1)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert _outcome(parse_poly, text, pi_adic_q(), 1, "t") == \
+        _outcome(parse_poly_oracle, text, pi_adic_q(), 1, "t")
+
+
 _MODELS = [trivial_q(), p_adic_q(2), p_adic_q(5), pi_adic_q(), pi_adic_fp(2), pi_adic_fp(3)]
 _exponents = st.sampled_from(["", "", "", "", "^0", "^1", "^2", "^3", "^-1", "^-2"])
-_JUNK = [")", "(", "^", "*", " t1", "/", "\n", "+", "0^-1", "pi", "$"]
+_JUNK = [")", "(", "^", "*", " t1", "/", "\n", "+", "0^-1", "pi", "$", "9" * 5001, "^-" + "9" * 5001]
 
 
 @st.composite

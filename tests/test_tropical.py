@@ -380,16 +380,27 @@ def test_min_locus_matches_per_term_lp(case):
     assert min_locus(poly, p) == want
 
 
-@pytest.mark.parametrize("constraints, message", [
+def _cone(n):
+    """x_n >= |x'|_1: its only vertex, the apex, is tight on all 2^(n-1)
+    rows, more than n once n >= 3."""
+    return [((*signs, -1), 0) for signs in product((1, -1), repeat=n - 1)]
+
+
+_NAMED_CASES = [
     ([((-1,), 0)], "unbounded polyhedron"),                                    # half-line
     ([((1, 0), 1), ((-1, 0), 0)], "unbounded polyhedron"),                     # slab, rank 1
     ([((-1, 0), 0), ((0, -1), 0), ((1, -1), 0)], "unbounded polyhedron"),      # cone with a vertex
     ([((1, 1), 1), ((-1, -1), -1), ((1, 0), 2), ((-1, 0), 0)], None),          # segment, 2 rows equal
     ([((1, 1), 0), ((-1, -1), -1)], "empty polytope"),                         # no vertex, rank 1
-    ([((1,), 0), ((-1,), -1)], "empty polytope"),
+    ([((1,), 0), ((-1,), -1)], "empty polytope"),                              # empty segment
     ([], "unbounded polyhedron"),                                              # R^1
-])
-def test_min_locus_bounded_check_named_cases(constraints, message):
+    (_cone(3), "unbounded polyhedron"),                                        # degenerate apex
+    (_cone(4), "unbounded polyhedron"),
+]
+
+
+def _check_named_case(constraints, message):
+    """min_locus and the LP computation agree, or raise the same message."""
     n = len(constraints[0][0]) if constraints else 1
     p = RationalPolytope(n, constraints)
     poly = TropPoly(n, [(0, (1,) * n), (1, (0,) * n)])
@@ -400,6 +411,11 @@ def test_min_locus_bounded_check_named_cases(constraints, message):
             min_locus(poly, p)
         with pytest.raises(DomainError, match=message):
             _min_locus_by_lp(poly, p)
+
+
+@pytest.mark.parametrize("constraints, message", _NAMED_CASES)
+def test_min_locus_bounded_check_named_cases(constraints, message):
+    _check_named_case(constraints, message)
 
 
 def test_min_locus_in_dimension_zero():
@@ -427,6 +443,10 @@ def test_min_locus_runs_no_lp_on_a_polytope_with_a_vertex(monkeypatch):
     cone = RationalPolytope(2, [((-1, 0), 0), ((0, -1), 0), ((1, -1), 0)])
     with pytest.raises(DomainError, match="unbounded polyhedron"):
         min_locus(TropPoly(2, [(0, (0, 0))]), cone)
+    # nor without a vertex (the slab, R^1, the empty sets of rank 1, 1 and 0)
+    # or with a degenerate one
+    for constraints, message in _NAMED_CASES + [([((), -1)], "empty polytope")]:
+        _check_named_case(constraints, message)
 
 
 def _outcome(fn, *args):
@@ -485,9 +505,10 @@ def _vertex_case(draw):
 @given(_vertex_case())
 def test_vertex_pass_matches_the_fraction_oracle(case):
     poly, p = case
-    assert polytope_vertices(p) == polytope_vertices_oracle(p)
-    assert _outcome(bounded_vertices, p) == _outcome(bounded_vertices_oracle, p)
-    assert _outcome(min_locus, poly, p) == _outcome(min_locus_oracle, poly, p)
+    verts = polytope_vertices_oracle(p)  # once per example; both oracles below reuse it
+    assert polytope_vertices(p) == verts
+    assert _outcome(bounded_vertices, p) == _outcome(bounded_vertices_oracle, p, verts)
+    assert _outcome(min_locus, poly, p) == _outcome(min_locus_oracle, poly, p, verts)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

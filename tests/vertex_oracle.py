@@ -70,8 +70,11 @@ def polytope_vertices_oracle(p: RationalPolytope) -> tuple:
     return tuple(sorted(seen))
 
 
-def bounded_vertices_oracle(p: RationalPolytope) -> tuple:
-    verts = polytope_vertices_oracle(p)
+def bounded_vertices_oracle(p: RationalPolytope, verts=None) -> tuple:
+    """verts, when given, is polytope_vertices_oracle(p), computed once by
+    a caller that needs it too."""
+    if verts is None:
+        verts = polytope_vertices_oracle(p)
     if verts and not (p.n and _has_unbounded_edge(p, verts)):
         return verts
     if not verts and (not p.n or lp_min([0] * p.n, [list(a) for a, _ in p.constraints],
@@ -101,12 +104,12 @@ def _has_unbounded_edge(p: RationalPolytope, verts) -> bool:
     return False
 
 
-def min_locus_oracle(poly: TropPoly, p: RationalPolytope):
+def min_locus_oracle(poly: TropPoly, p: RationalPolytope, verts=None):
     if poly.n != p.n:
         raise DomainError("tropical polynomial and polytope dimensions disagree")
     if not poly.terms:
         raise DomainError("empty tropical polynomial has no minimum")
-    verts = bounded_vertices_oracle(p)
+    verts = bounded_vertices_oracle(p, verts)
     values = [
         [c + sum(e * x for e, x in zip(exps, v)) for v in verts]
         for c, exps in poly.terms
