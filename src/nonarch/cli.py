@@ -255,7 +255,9 @@ def _semistable_n(spec: str) -> int:
     return n
 
 
-def _polytope_from_args(args) -> RationalPolytope:
+def _polytope_from_args(args, doc=None) -> RationalPolytope:
+    """The region of --semistable or --polytope; doc is the polytope
+    document when _infer_n_from_region has read it already."""
     if getattr(args, "semistable", None):
         try:
             _, va_text = args.semistable.split(",")
@@ -263,7 +265,8 @@ def _polytope_from_args(args) -> RationalPolytope:
             raise DomainError("--semistable wants '<n>,<va>'") from exc
         return semistable_skeleton(_semistable_n(args.semistable), _parse_rational(va_text))
     if getattr(args, "polytope", None):
-        doc = _load_doc(args.polytope, "polytope")
+        if doc is None:
+            doc = _load_doc(args.polytope, "polytope")
         constraints = [
             (tuple(_parse_rational(x) for x in c["a"]), _parse_rational(c["b"]))
             for c in doc["constraints"]
@@ -310,20 +313,24 @@ def _cmd_trop(args, model, eps):
 
 
 def _infer_n_from_region(args):
-    """Allow --n to be omitted when the polytope fixes the dimension."""
+    """Allow --n to be omitted when the polytope fixes the dimension; returns
+    the polytope document when it was read for that, else None."""
     if args.n:
-        return
+        return None
     if getattr(args, "semistable", None):
         args.n = _semistable_n(args.semistable)
     elif getattr(args, "polytope", None):
-        args.n = int(_load_doc(args.polytope, "polytope")["n"])
+        doc = _load_doc(args.polytope, "polytope")
+        args.n = int(doc["n"])
+        return doc
+    return None
 
 
 def _cmd_max_locus(args, model, eps):
-    _infer_n_from_region(args)
+    doc = _infer_n_from_region(args)
     phi = _load_form(args, model)
     poly = tropicalize(phi)
-    p = _polytope_from_args(args)
+    p = _polytope_from_args(args, doc)
     m_star, locus = min_locus(poly, p)
     _emit({
         "m_star": _render_val(Val(m_star), eps),
@@ -412,7 +419,7 @@ def _cmd_grid(args, model, eps):
     steps = int(args.grid)
     if steps < 1:
         raise DomainError("--grid wants a positive number of steps")
-    _infer_n_from_region(args)
+    doc = _infer_n_from_region(args)
     phi = _load_form(args, model)
     poly = tropicalize(phi)
     points = 1
@@ -421,7 +428,7 @@ def _cmd_grid(args, model, eps):
         if points > _MAX_GRID_POINTS:
             raise DomainError(f"--grid {steps} in dimension {poly.n} is above the limit of "
                               f"{_MAX_GRID_POINTS} points ((steps + 1)^n)")
-    p = _polytope_from_args(args)
+    p = _polytope_from_args(args, doc)
     if p.n != poly.n:
         raise DomainError("form and polytope dimensions disagree")
     verts = bounded_vertices(p)

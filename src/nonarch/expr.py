@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DomainError, ParseError
-from .fields import BaseFieldModel, FieldElement
+from .fields import BaseFieldModel, FieldElement, _embed
 from .laurent import LaurentPoly
 
 __all__ = ["parse_poly", "poly_to_expr"]
@@ -90,7 +90,6 @@ class _Parser:
         self.tokens.append(_END)
         self.pos = 0
         self.model = model
-        self.cf = model._cf
         self.n = n
         # map from variable prefix to index offset in the exponent vector
         if variables == "t":
@@ -153,10 +152,10 @@ class _Parser:
 
     def term(self, terms: dict, negate: bool) -> None:
         """Add one product of factors to terms, in place.  Numbers, pi,
-        variables and their powers multiply into c*pi^k*t^exps (c in the
-        coefficient ring, None for 1); only parenthesised sums are
+        variables and their powers multiply into c*pi^k*t^exps (c a
+        coefficient of the model, None for 1); only parenthesised sums are
         LaurentPolys."""
-        cf, tokens = self.cf, self.tokens
+        p, tokens = self.model._char, self.tokens
         c, k, exps, poly = None, 0, [0] * self.width, None
         pos = self.pos
         while True:
@@ -178,15 +177,15 @@ class _Parser:
                         raise self.error("zero denominator in rational literal", j)
                     q = Fraction(q, int(den))
                 try:
-                    a = cf.from_fraction(q)
+                    a = _embed(q, p)
                 except DomainError as exc:
                     raise self.error(str(exc), i) from exc
                 e = self.exponent(minus, power, pos)
-                if e < 0 and cf.is_zero(a):
+                if e < 0 and not a:
                     raise self.error(_NOT_MONOMIAL, j, exponent=True)
                 if e != 1:
-                    a = cf.pow(a, e)
-                c = a if c is None else cf.mul(c, a)
+                    a = pow(a, e, p) if p else a ** e
+                c = a if c is None else c * a
             elif name:
                 if name == "pi":
                     if not self.model.has_pi:
@@ -227,10 +226,12 @@ class _Parser:
             pos += 1
         self.pos = pos
         if c is None:
-            c = cf.one
+            c = self.model._one
         if negate:
-            c = cf.neg(c)
-        if cf.is_zero(c):
+            c = -c
+        if p:
+            c %= p
+        if not c:
             return
         coeff = FieldElement._monomial(self.model, c, k)
         exps = tuple(exps)
@@ -259,7 +260,7 @@ def parse_poly(text: str, model: BaseFieldModel, n: int, variables: str = "t") -
 def _coeff_factors(elem) -> list:
     """Grammar factors multiplying to the coefficient; raises when the
     coefficient is not expressible (non-monomial pi denominator)."""
-    num, den, cf = elem.num, elem.den, elem.model._cf
+    num, den = elem.num, elem.den
     if any(den[:-1]):
         raise DomainError(
             "coefficient has a non-monomial pi denominator; not expressible in the grammar"
@@ -270,7 +271,7 @@ def _coeff_factors(elem) -> list:
         if not c:
             continue
         e = i - shift
-        cs = cf.render(c)
+        cs = str(c)
         if e == 0:
             parts.append(cs)
         else:

@@ -11,14 +11,18 @@ Elements of the pi-adic models are ratios of polynomials in the
 uniformizer pi, stored in one canonical form: lowest terms, monic
 denominator, zero as 0/1.  Every operation returns that form, so equality,
 hashing and printing read the stored payload.  Elements of the rational
-models are plain ``Fraction`` values stored as degree-zero ratios, so one
+models are ``Fraction`` values stored as degree-zero ratios, so one
 arithmetic code path serves all four models.  Every operation is exact.
+
+Coefficients are plain numbers: a ``Fraction`` over Q, an int in
+``range(p)`` over F_p.  The polynomial helpers combine them with + - * and
+reduce each result coefficient mod p once, before stripping zeros.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DomainError, InvariantError
 from .values import INF, Val
@@ -65,199 +69,120 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class _RationalCoeffs:
-    """Coefficient arithmetic in Q."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def pow(a, k):
-        return a ** k
-
-    @staticmethod
-    def from_fraction(q):
-        return Fraction(q)
-
-    @staticmethod
-    def render(a):
-        return str(a)
-
-
-class _PrimeFieldCoeffs:
-    """Coefficient arithmetic in F_p (ints in [0, p))."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        b %= self.p
-        if b == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return (a * pow(b, -1, self.p)) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def pow(self, a, k):
-        return pow(a, k, self.p)
-
-    def from_fraction(self, q):
-        q = Fraction(q)
-        if q.denominator % self.p == 0:
-            raise DomainError(f"rational {q} has no image in F_{self.p}")
-        return self.div(q.numerator % self.p, q.denominator % self.p)
-
-    def render(self, a):
-        return str(a % self.p)
-
-
 # -- polynomial helpers (coefficient tuples, lowest degree first) -----------
+# p is the characteristic of the coefficients, 0 for Q.  Besides the
+# reduction mod p in _pstrip, only the inverse (_inv) and the embedding of a
+# rational (_embed) depend on it.
 
-def _pstrip(cs, cf):
+def _embed(q, p):
+    """The coefficient an int or Fraction maps to: itself as a Fraction over
+    Q, an int in range(p) over F_p (DomainError when p divides its
+    denominator)."""
+    q = Fraction(q)
+    if not p:
+        return q
+    if q.denominator % p == 0:
+        raise DomainError(f"rational {q} has no image in F_{p}")
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def _inv(c, p):
+    return pow(c, -1, p) if p else Fraction(1) / c
+
+
+def _pstrip(cs, p=0):
+    """cs without trailing zeros, as a tuple; each coefficient is first
+    reduced mod p when p is set."""
+    if p:
+        cs = [c % p for c in cs]
     n = len(cs)
-    while n and cf.is_zero(cs[n - 1]):
+    while n and not cs[n - 1]:
         n -= 1
     return tuple(cs[:n])
 
 
-def _padd(a, b, cf):
-    n = max(len(a), len(b))
-    out = [cf.zero] * n
-    for i, c in enumerate(a):
-        out[i] = c
+def _padd(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, c in enumerate(b):
-        out[i] = cf.add(out[i], c)
-    return _pstrip(out, cf)
+        out[i] += c
+    return _pstrip(out, p)
 
 
-def _pneg(a, cf):
-    return tuple(cf.neg(c) for c in a)
-
-
-def _pmul(a, b, cf):
+def _pmul(a, b, p):
     if not a or not b:
         return ()
-    out = [cf.zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = cf.add(out[i + j], cf.mul(ca, cb))
-    return _pstrip(out, cf)
+    out = [a[0] * cb for cb in b] + [0] * (len(a) - 1)
+    for i, ca in enumerate(a[1:], 1):
+        for j, cb in enumerate(b, i):
+            out[j] += ca * cb
+    return _pstrip(out, p)
 
 
-def _pdivmod(a, b, cf):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [cf.zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = b[-1]
-    while len(a) >= len(b) and _pstrip(a, cf):
-        a = list(_pstrip(a, cf))
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = cf.div(a[-1], inv_lead)
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] = cf.sub(a[shift + i], cf.mul(factor, c))
-    return _pstrip(q, cf), _pstrip(a, cf)
+def _monic(num, den, p, scale=1):
+    """(scale*num/lead, den/lead) for lead the leading coefficient of den."""
+    inv = _inv(den[-1], p)
+    k = scale * inv
+    return _pstrip([c * k for c in num], p), _pstrip([c * inv for c in den], p)
 
 
-def _euclid(a, b, cf):
-    """Monic gcd of two coefficient tuples."""
-    while b:
-        _, r = _pdivmod(a, b, cf)
-        a, b = b, r
-    if not a:
-        return ()
-    lead = a[-1]
-    return tuple(cf.div(c, lead) for c in a)  # monic
-
-
-def _full_reduce(num, den, cf):
-    """Lowest terms with a monic denominator."""
-    if isinstance(cf, _RationalCoeffs):
-        return _full_reduce_q(num, den)
-    g = _euclid(num, den, cf)
-    if len(g) > 1:
-        num, _ = _pdivmod(num, g, cf)
-        den, _ = _pdivmod(den, g, cf)
-    lead = den[-1]
-    if not cf.is_zero(cf.sub(lead, cf.one)):
-        num = tuple(cf.div(c, lead) for c in num)
-        den = tuple(cf.div(c, lead) for c in den)
-    return num, den
-
-
-# -- gcd over Q[pi] via primitive integer remainder sequences ---------------
+# -- gcds: Euclid over F_p[pi], primitive remainder sequences over Z[pi] ----
 # Euclid directly over Q suffers severe coefficient swell; clearing
 # denominators and running a primitive PRS over Z keeps everything in fast
 # machine/long integer arithmetic.
 
-def _q_to_z(f):
-    """Fraction tuple -> (content, primitive int tuple) with f = content*prim."""
-    common = 1
-    for c in f:
-        common = common * c.denominator // gcd(common, c.denominator)
-    ints = [int(c * common) for c in f]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if ints[-1] < 0:
-        g = -g
-    return Fraction(g, common), tuple(c // g for c in ints)
+def _pdivmod(a, b, p):
+    """Quotient and remainder of a by a nonzero b over F_p."""
+    inv = pow(b[-1], -1, p)
+    a = list(a)
+    db = len(b) - 1
+    q = [0] * max(0, len(a) - db)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        factor = q[shift] = a[shift + db] * inv % p
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+    return _pstrip(q), _pstrip(a[:db], p)
 
 
-def _z_primitive(f):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    if not f:
-        return ()
-    g = 0
-    for c in f:
-        g = gcd(g, abs(c))
+def _euclid(a, b, p):
+    """A gcd over F_p, not made monic."""
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return a
+
+
+def _full_reduce(num, den, p):
+    """Lowest terms with a monic denominator."""
+    if p:
+        g = _euclid(num, den, p)
+        if len(g) > 1:
+            num = _pdivmod(num, g, p)[0]
+            den = _pdivmod(den, g, p)[0]
+        return _monic(num, den, p)
+    cn, num = _q_to_z(num)
+    cd, den = _q_to_z(den)
+    h = _zgcd(num, den)
+    if len(h) > 1:
+        num = _z_div_exact(num, h)
+        den = _z_div_exact(den, h)
+    return _monic(num, den, 0, cn / cd)
+
+
+def _primitive(f):
+    """(content, primitive part) of a nonzero stripped int tuple, the
+    content signed so that the primitive part leads positive."""
+    g = gcd(*f)
     if f[-1] < 0:
         g = -g
-    return tuple(c // g for c in f)
+    return g, tuple(c // g for c in f)
+
+
+def _q_to_z(f):
+    """Fraction tuple -> (content, primitive int tuple) with f = content*prim."""
+    common = lcm(*(c.denominator for c in f))
+    g, prim = _primitive([c.numerator * (common // c.denominator) for c in f])
+    return Fraction(g, common), prim
 
 
 def _z_pseudo_rem(a, b):
@@ -277,12 +202,13 @@ def _z_pseudo_rem(a, b):
 
 
 def _zgcd(a, b):
-    a, b = _z_primitive(a), _z_primitive(b)
+    """The primitive gcd, leading positive, of two primitive int tuples."""
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _z_pseudo_rem(a, b)
-        a, b = b, _z_primitive(r)
+        a, b = b, _z_pseudo_rem(a, b)
+        if b:
+            b = _primitive(b)[1]
     return a
 
 
@@ -304,20 +230,6 @@ def _z_div_exact(a, b):
     return tuple(out)
 
 
-def _full_reduce_q(num, den):
-    cn, zn = _q_to_z(num)
-    cd, zd = _q_to_z(den)
-    h = _zgcd(zn, zd)
-    if len(h) > 1:
-        zn = _z_div_exact(zn, h)
-        zd = _z_div_exact(zd, h)
-    scale = cn / cd
-    lead = zd[-1]
-    den_out = tuple(Fraction(c, lead) for c in zd)
-    num_out = tuple(Fraction(c, lead) * scale for c in zn)
-    return num_out, den_out
-
-
 def _pord(a) -> int:
     """Index of the lowest nonzero coefficient (a must be nonzero)."""
     for i, c in enumerate(a):
@@ -329,7 +241,7 @@ def _pord(a) -> int:
 class BaseFieldModel:
     """One of the four exact models of a valued base field."""
 
-    __slots__ = ("kind", "p", "_cf")
+    __slots__ = ("kind", "p", "_char", "_zero", "_one")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind not in (TRIVIAL_Q, P_ADIC_Q, PI_ADIC_Q, PI_ADIC_FP):
@@ -341,7 +253,10 @@ class BaseFieldModel:
             raise DomainError(f"{kind} takes no prime parameter")
         self.kind = kind
         self.p = p
-        self._cf = _PrimeFieldCoeffs(p) if kind == PI_ADIC_FP else _RationalCoeffs()
+        # coefficients: ints mod p over F_p(pi), Fractions otherwise
+        self._char = p if kind == PI_ADIC_FP else 0
+        self._zero = _embed(0, self._char)
+        self._one = _embed(1, self._char)
 
     # -- structure ----------------------------------------------------------
 
@@ -379,12 +294,11 @@ class BaseFieldModel:
             if value.model != self:
                 raise DomainError("field element belongs to a different base field")
             return value
-        cf = self._cf
-        c = cf.from_fraction(value)
-        return FieldElement(self, () if cf.is_zero(c) else (c,), (cf.one,))
+        c = _embed(value, self._char)
+        return FieldElement(self, (c,) if c else (), (self._one,))
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (), (self._cf.one,))
+        return FieldElement(self, (), (self._one,))
 
     def one(self) -> "FieldElement":
         return self.elem(1)
@@ -393,8 +307,7 @@ class BaseFieldModel:
         """A generator of the maximal ideal: pi for pi-adic models, p for
         the p-adic one."""
         if self.has_pi:
-            cf = self._cf
-            return FieldElement(self, (cf.zero, cf.one), (cf.one,))
+            return FieldElement._monomial(self, self._one, 1)
         if self.kind == P_ADIC_Q:
             return self.elem(self.p)
         raise DomainError("the trivially valued field has no uniformizer")
@@ -403,8 +316,8 @@ class BaseFieldModel:
         """Build an element from coefficient sequences in pi (lowest degree
         first); coefficients are ints or Fractions, taken mod p over F_p
         (a denominator divisible by p raises DomainError)."""
-        embed = self._cf.from_fraction
-        return FieldElement._reduced(self, tuple(map(embed, num)), tuple(map(embed, den)))
+        p = self._char
+        return FieldElement._reduced(self, [_embed(c, p) for c in num], [_embed(c, p) for c in den])
 
 
 def trivial_q() -> BaseFieldModel:
@@ -441,35 +354,34 @@ class FieldElement:
 
     @classmethod
     def _reduced(cls, model, num, den) -> "FieldElement":
-        """The canonical form of num/den: strip zeros, cancel common pi
-        powers and fold a constant denominator; any longer denominator goes
-        through the full gcd reduction (_full_reduce)."""
-        cf = model._cf
-        num = _pstrip(num, cf)
-        den = _pstrip(den, cf)
+        """The canonical form of num/den, whose coefficients are already
+        reduced: strip zeros, cancel common pi powers and divide by a
+        constant denominator; any longer denominator goes through the full
+        gcd reduction (_full_reduce)."""
+        num = _pstrip(num)
+        den = _pstrip(den)
         if not den:
             raise ZeroDivisionError("zero denominator in field element")
         if not num:
-            return cls(model, (), (cf.one,))
+            return cls(model, (), (model._one,))
         shift = min(_pord(num), _pord(den))
         if shift:
             num = num[shift:]
             den = den[shift:]
-        if len(den) == 1:
-            c = den[0]
-            if not cf.is_zero(cf.sub(c, cf.one)):
-                num = tuple(cf.div(a, c) for a in num)
-            return cls(model, num, (cf.one,))
-        return cls(model, *_full_reduce(num, den, cf))
+        if len(den) > 1:
+            num, den = _full_reduce(num, den, model._char)
+        elif den[0] != 1:
+            num, den = _monic(num, den, model._char)
+        return cls(model, num, den)
 
     @classmethod
     def _monomial(cls, model, c, k: int) -> "FieldElement":
-        """c*pi^k for a nonzero c of the model's coefficient ring, in
-        canonical form (k is 0 in the models without pi)."""
-        cf = model._cf
+        """c*pi^k for a nonzero reduced coefficient c, in canonical form (k
+        is 0 in the models without pi)."""
+        zeros = (model._zero,) * abs(k)
         if k >= 0:
-            return cls(model, (cf.zero,) * k + (c,), (cf.one,))
-        return cls(model, (c,), (cf.zero,) * -k + (cf.one,))
+            return cls(model, zeros + (c,), (model._one,))
+        return cls(model, (c,), zeros + (model._one,))
 
     # -- ring/field operations ------------------------------------------------
 
@@ -484,19 +396,20 @@ class FieldElement:
         if not isinstance(other, (FieldElement, int, Fraction)):
             return NotImplemented
         other = self._check(other)
-        cf = self.model._cf
+        p = self.model._char
         if self.den == other.den:
-            num = _padd(self.num, other.num, cf)
+            num = _padd(self.num, other.num, p)
             if len(self.den) == 1:
                 return FieldElement(self.model, num, self.den)
             return FieldElement._reduced(self.model, num, self.den)
-        num = _padd(_pmul(self.num, other.den, cf), _pmul(other.num, self.den, cf), cf)
-        return FieldElement._reduced(self.model, num, _pmul(self.den, other.den, cf))
+        num = _padd(_pmul(self.num, other.den, p), _pmul(other.num, self.den, p), p)
+        return FieldElement._reduced(self.model, num, _pmul(self.den, other.den, p))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.model, _pneg(self.num, self.model._cf), self.den)
+        num = _pstrip([-c for c in self.num], self.model._char)
+        return FieldElement(self.model, num, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, (FieldElement, int, Fraction)):
@@ -510,11 +423,11 @@ class FieldElement:
         if not isinstance(other, (FieldElement, int, Fraction)):
             return NotImplemented
         other = self._check(other)
-        cf = self.model._cf
+        p = self.model._char
         if len(self.den) == 1 and len(other.den) == 1:
-            return FieldElement(self.model, _pmul(self.num, other.num, cf), self.den)
+            return FieldElement(self.model, _pmul(self.num, other.num, p), self.den)
         return FieldElement._reduced(
-            self.model, _pmul(self.num, other.num, cf), _pmul(self.den, other.den, cf)
+            self.model, _pmul(self.num, other.num, p), _pmul(self.den, other.den, p)
         )
 
     __rmul__ = __mul__
@@ -525,9 +438,9 @@ class FieldElement:
         other = self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero field element")
-        cf = self.model._cf
+        p = self.model._char
         return FieldElement._reduced(
-            self.model, _pmul(self.num, other.den, cf), _pmul(self.den, other.num, cf)
+            self.model, _pmul(self.num, other.den, p), _pmul(self.den, other.num, p)
         )
 
     def __rtruediv__(self, other):
@@ -543,7 +456,8 @@ class FieldElement:
         # c*pi^i and c/pi^j (the monic denominator of a monomial is a power
         # of pi) go straight to c^k*pi^((i - j)k)
         if num and not any(num[:-1]) and not any(den[:-1]):
-            c = self.model._cf.pow(num[-1], k)
+            p = self.model._char
+            c = pow(num[-1], k, p) if p else num[-1] ** k
             return FieldElement._monomial(self.model, c, (len(num) - len(den)) * k)
         result = self.model.one()
         base = self
@@ -565,7 +479,12 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, (FieldElement, int, Fraction)):
             return NotImplemented
-        other = self._check(other)
+        try:
+            other = self._check(other)
+        except DomainError:
+            if isinstance(other, FieldElement):
+                raise
+            return False  # a rational with no image in F_p
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -590,12 +509,11 @@ class FieldElement:
     # -- rendering ---------------------------------------------------------------
 
     def _poly_str(self, coeffs) -> str:
-        cf = self.model._cf
         parts = []
         for i, c in enumerate(coeffs):
-            if cf.is_zero(c):
+            if not c:
                 continue
-            cs = cf.render(c)
+            cs = str(c)
             if i == 0:
                 parts.append(cs)
             else:
@@ -605,7 +523,7 @@ class FieldElement:
 
     def __str__(self):
         num_s = self._poly_str(self.num)
-        if self.den == (self.model._cf.one,):
+        if len(self.den) == 1:
             return num_s
         return f"({num_s})/({self._poly_str(self.den)})"
 

@@ -170,7 +170,12 @@ class LaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, (LaurentPoly, int, Fraction, FieldElement)):
             return NotImplemented
-        other = self._check(other)
+        try:
+            other = self._check(other)
+        except DomainError:
+            if not isinstance(other, (int, Fraction)):
+                raise
+            return False  # a rational with no image in F_p
         return self.terms == other.terms
 
     def __hash__(self):

@@ -227,6 +227,40 @@ def test_trivial_field_and_polytope_file(tmp_path, capsys):
     assert out.splitlines() == ["rho1,value", "0,0", "1/2,0", "1,0"]
 
 
+@pytest.mark.parametrize("command", [["max-locus"], ["grid", "--grid", "2"]])
+def test_polytope_file_is_read_once(tmp_path, capsys, monkeypatch, command):
+    form = write(tmp_path, "form.json", {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "1"}]})
+    box = write(tmp_path, "box.json", {
+        "n": 1,
+        "constraints": [{"a": ["1"], "b": "1"}, {"a": ["-1"], "b": "0"}],
+    })
+    reads = []
+    load_json = cli._load_json
+
+    def counting(path):
+        reads.append(path)
+        return load_json(path)
+
+    monkeypatch.setattr(cli, "_load_json", counting)
+    for n in ([], ["--n", "1"]):
+        reads.clear()
+        code, _, err = invoke(capsys, *command, "--field", "trivial", *n, "--form", form,
+                              "--polytope", box)
+        assert code == 0, err
+        assert sorted(reads) == sorted([form, box]), (n, reads)
+
+    # with both files malformed, the one read first names the error: the
+    # polytope when it fixes the dimension, else the form
+    bad_form = tmp_path / "bad-form.json"
+    bad_box = tmp_path / "bad-box.json"
+    bad_form.write_text("{")
+    bad_box.write_text("[")
+    for n, first in (([], bad_box), (["--n", "1"], bad_form)):
+        code, out, err = invoke(capsys, *command, "--field", "trivial", *n, "--form",
+                                str(bad_form), "--polytope", str(bad_box))
+        assert (code, out) == (2, "") and f"invalid JSON in {first}" in err, (n, err)
+
+
 def test_epsilon_rendering(tmp_path, capsys):
     matrix = write(tmp_path, "m.json", {"entries": [["4"]]})
     code, out, _ = invoke(

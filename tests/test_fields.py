@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nonarch.errors import DomainError, InvariantError
 from nonarch.fields import (
-    _PRIME_LIMIT, FieldElement, _is_prime, _pmul, _z_div_exact, p_adic_q, pi_adic_fp, pi_adic_q,
-    trivial_q,
+    _PRIME_LIMIT, FieldElement, _is_prime, _z_div_exact, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q,
 )
 from nonarch.values import INF, Val
 
@@ -55,6 +54,24 @@ def test_uniformizer_valuations():
     assert pi_adic_fp(2).uniformizer().val() == Val(1)
     with pytest.raises(DomainError):
         trivial_q().uniformizer()
+
+
+def test_rational_without_an_image_in_f_p_equals_nothing():
+    from nonarch.laurent import LaurentPoly
+
+    k = pi_adic_fp(3)
+    for q in (Fraction(1, 3), Fraction(-2, 9)):
+        assert not k.one() == q and k.one() != q and not q == k.zero()
+        assert not LaurentPoly.one(k, 2) == q and LaurentPoly.zero(k, 2) != q
+    # a rational that has an image compares by it: 1/2 is 2 in F_3
+    assert k.elem(2) == Fraction(1, 2) and LaurentPoly.constant(k, 1, 2) == Fraction(1, 2)
+    # comparing elements of two models stays an error
+    with pytest.raises(DomainError):
+        k.one() == pi_adic_fp(5).one()
+    with pytest.raises(DomainError):
+        LaurentPoly.one(k, 1) == pi_adic_fp(5).one()
+    with pytest.raises(DomainError):
+        LaurentPoly.one(k, 1) == LaurentPoly.one(pi_adic_fp(5), 1)
 
 
 def test_model_validation():
@@ -185,9 +202,21 @@ PI_MODELS = [pi_adic_q(), pi_adic_fp(2), pi_adic_fp(3)]
 
 def _cross_equal(x, y):
     """Equality as decided before payloads were canonical: a/b == c/d
-    exactly when a*d == c*b.  Needs no reduced form."""
-    cf = x.model._cf
-    return _pmul(x.num, y.den, cf) == _pmul(y.num, x.den, cf)
+    exactly when a*d == c*b.  Needs no reduced form, and multiplies by its
+    own schoolbook product, reduced mod p over F_p."""
+    p = x.model.p
+
+    def times(f, g):
+        out = [0] * (len(f) + len(g))
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        out = [c % p for c in out] if p else out
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    return times(x.num, y.den) == times(y.num, x.den)
 
 
 @st.composite
@@ -198,15 +227,18 @@ def _pi_poly(draw, model):
 
 @st.composite
 def _element(draw, model, depth=3):
-    """A field element built by + - * / from small pi-polynomials."""
+    """A field element built by + - * / and negation from small
+    pi-polynomials."""
     if depth == 0 or draw(st.integers(0, 3)) == 0:
         return draw(_pi_poly(model))
     x = draw(_element(model, depth - 1))
     y = draw(_element(model, depth - 1))
-    op = draw(st.sampled_from("+-*/"))
+    op = draw(st.sampled_from("+-*/n"))
     if op == "/" and y.is_zero:
         op = "*"
-    return {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op](x, y)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "n": lambda x, y: -x}
+    return ops[op](x, y)
 
 
 def _sympy_coprime(num, den, model):
@@ -241,11 +273,18 @@ def test_canonical_form_is_unique(data):
         assert (got.num, got.den) == (want.num, want.den)
 
     # lowest terms with a monic denominator, checked by sympy
-    cf = model._cf
-    assert x.den[-1] == cf.one
+    assert x.den[-1] == 1
     if not x.num:
-        assert x.den == (cf.one,)
+        assert x.den == (1,)
     assert _sympy_coprime(x.num, x.den, model)
+    # the payload holds plain coefficients: Fractions over Q, ints in
+    # range(p) over F_p (an unreduced one would break == and hash)
+    for z in (x, y, got, want) if b and c else (x, y):
+        for coeff in z.num + z.den:
+            if model.p is None:
+                assert type(coeff) is Fraction, (z, coeff)
+            else:
+                assert type(coeff) is int and 0 <= coeff < model.p, (z, coeff)
 
 
 def test_invariant_checks_run_under_optimize_flag():
