@@ -21,7 +21,7 @@ from .fields import BaseFieldModel, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
 from .forms import MonomialChart, Pluriform, kahler_norm_at, tame_certificate
 from .lattices import ElementaryDivisors, PresentationMatrix, adic_norm, content, semilattice_index, smith
 from .tropical import (
-    RationalPolytope, bounded_vertices, min_locus, retract, semistable_skeleton, tropicalize,
+    RationalPolytope, _integer_rows, bounded_vertices, min_locus, retract, semistable_skeleton, tropicalize,
 )
 from .values import Val
 from .weights import KummerDivisorialSpec, compare
@@ -55,7 +55,7 @@ def _parse_field(spec: str) -> BaseFieldModel:
 
 
 def _parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         try:
@@ -449,12 +449,9 @@ def _write_grid(out, p: RationalPolytope, poly, axes) -> None:
     costs one integer comparison per row and one per term."""
     n = p.n
     d = lcm(*(x.denominator for axis in axes for x in axis), *(c.denominator for c, _ in poly.terms))
-    rows, bounds = [], []
-    for a, b in p.constraints:
-        s = lcm(b.denominator, *(x.denominator for x in a))
-        rows.append([int(x * s) for x in a])
-        bounds.append(int(b * s) * d)
-    columns = [[row[i] for row in rows] for i in range(n)]
+    rows = _integer_rows(p)
+    bounds = [b * d for _, b in rows]
+    columns = [[a[i] for a, _ in rows] for i in range(n)]
     slopes = [[e[i] for _, e in poly.terms] for i in range(n)]
     points = [[(int(x * d), str(x)) for x in axis] for axis in axes]
     lines = [",".join(f"rho{i + 1}" for i in range(n)) + ",value\n"]

@@ -11,9 +11,12 @@ norm of a pulled-back form is the minimum of the Gauss valuations of its
 coefficients.  The Gauss valuation is multiplicative, so that minimum is
 read from the levels and initial parts of the substitutions and of the
 Jacobian minors; the pulled-back coefficients are expanded in full only
-when those initial parts cancel.  The value is the geometric Kahler
-seminorm whenever the chart is residually tame; otherwise it is reported
-as the chart-basis value together with the certificate.
+when those initial parts cancel.  Both pullback and the norm read the
+nonzero minors of the logarithmic Jacobian from one table (_minor_table),
+and the full expansion (_expand) reuses the table the norm built.  The
+value is the geometric Kahler seminorm whenever the chart is residually
+tame; otherwise it is reported as the chart-basis value together with
+the certificate.
 """
 
 from __future__ import annotations
@@ -162,9 +165,6 @@ def differential(f: LaurentPoly) -> Pluriform:
         c = f.log_derivative(i)
         if not c.is_zero:
             coeffs[((i,),)] = c
-    if not coeffs:
-        # the zero form still needs a consistent shape
-        return Pluriform(f.model, f.n, 1, 1, {})
     return Pluriform(f.model, f.n, 1, 1, coeffs)
 
 
@@ -178,47 +178,55 @@ def pullback(phi: Pluriform, chart: MonomialChart) -> PullbackResult:
     pullback along a composition agrees with composed pullbacks."""
     if phi.model != chart.model or phi.n != chart.n:
         raise DomainError("form and chart live on different tori")
-    model, n, l, m = phi.model, phi.n, phi.l, phi.m
-    subs = chart.substitutions
+    return _expand(phi, chart, _minor_table(chart, {s for e in phi.coeffs for s in e}, phi.l))
 
-    logd = [[subs[i].log_derivative(j + 1) for j in range(n)] for i in range(n)]
 
-    # global denominator exponents: substitution part plus wedge part
-    d_sub = [0] * n
+def _slot_counts(e, n) -> list:
+    """w_e,i for i = 1..n: the number of slots of the basis index e holding i."""
+    return [sum(1 for subset in e if i in subset) for i in range(1, n + 1)]
+
+
+def _minor_table(chart: MonomialChart, sources, l) -> dict:
+    """The nonzero l x l minors of the chart's logarithmic Jacobian
+    (s_j dg_i/ds_j), rows from each source subset: {source: [(target,
+    minor), ...]} with the target column subsets in lexicographic order.
+    The 0 x 0 minor is 1."""
+    model, n = chart.model, chart.n
+    logd = [[g.log_derivative(j) for j in range(1, n + 1)] for g in chart.substitutions]
+    targets = list(combinations(range(1, n + 1), l))
+    table = {}
+    for source in sources:
+        table[source] = []
+        for target in targets:
+            d = (_det([[logd[i - 1][j - 1] for j in target] for i in source])
+                 if l else LaurentPoly.one(model, n))
+            if not d.is_zero:
+                table[source].append((target, d))
+    return table
+
+
+def _expand(phi: Pluriform, chart: MonomialChart, table) -> PullbackResult:
+    """The pullback of phi, given the minor table of its source subsets.
+    Over the common denominator prod g_i^(d_i + max_e w_e,i), with d_i the
+    largest power of 1/t_i in the coefficients of phi, the coefficient at
+    a chart index is the sum, over basis indices e of phi and choices of
+    one nonzero minor per slot, of
+    phi_e(g) * prod g_i^(d_i + max_e w_e,i - w_e,i) * prod(minors)."""
+    model, n = phi.model, phi.n
+    slots = {e: _slot_counts(e, n) for e in phi.coeffs}
+    w_max = [max(w) for w in zip([0] * n, *slots.values())]
+    low, high = [0] * n, [0] * n
     for coeff in phi.coeffs.values():
         for exps in coeff.terms:
-            for i, e in enumerate(exps):
-                d_sub[i] = max(d_sub[i], -e)
-    w_max = [0] * n
-    for e in phi.coeffs:
-        for i in range(n):
-            w = sum(1 for subset in e if i + 1 in subset)
-            w_max[i] = max(w_max[i], w)
-    c_exp = [d + w for d, w in zip(d_sub, w_max)]
-
-    max_pow = max(c_exp, default=0)
-    for coeff in phi.coeffs.values():
-        for exps in coeff.terms:
-            for i, e in enumerate(exps):
-                max_pow = max(max_pow, e + d_sub[i])
+            low = list(map(min, low, exps))
+            high = list(map(max, high, exps))
+    d_sub = [-x for x in low]
     powers = []
-    for g in subs:
+    for i, g in enumerate(chart.substitutions):
         pw = [LaurentPoly.one(model, n)]
-        for _ in range(max_pow):
+        for _ in range(d_sub[i] + max(w_max[i], high[i])):
             pw.append(pw[-1] * g)
         powers.append(pw)
-
-    targets = list(combinations(range(1, n + 1), l))
-    minor_cache = {}
-
-    def minor_det(source, target):
-        key = (source, target)
-        got = minor_cache.get(key)
-        if got is None:
-            rows = [[logd[i - 1][j - 1] for j in target] for i in source]
-            got = LaurentPoly.one(model, n) if l == 0 else _det(rows)
-            minor_cache[key] = got
-        return got
 
     out = {}
     for e, coeff in phi.coeffs.items():
@@ -230,30 +238,22 @@ def pullback(phi: Pluriform, chart: MonomialChart) -> PullbackResult:
             numerator = numerator + term
         if numerator.is_zero:
             continue
-        w_e = [sum(1 for subset in e if i + 1 in subset) for i in range(n)]
         fill = LaurentPoly.one(model, n)
-        for i in range(n):
-            k = c_exp[i] - d_sub[i] - w_e[i]
-            if k:
-                fill = fill * powers[i][k]
+        for i, w in enumerate(slots[e]):
+            if w_max[i] > w:
+                fill = fill * powers[i][w_max[i] - w]
         base = numerator * fill
-        for combo in product(targets, repeat=m):
+        for choice in product(*(table[subset] for subset in e)):
             det_prod = base
-            dead = False
-            for subset, target in zip(e, combo):
-                d = minor_det(subset, target)
-                if d.is_zero:
-                    dead = True
-                    break
+            for _, d in choice:
                 det_prod = det_prod * d
-            if dead:
-                continue
+            combo = tuple(target for target, _ in choice)
             out[combo] = out[combo] + det_prod if combo in out else det_prod
 
     denominator = LaurentPoly.one(model, n)
     for i in range(n):
-        if c_exp[i]:
-            denominator = denominator * powers[i][c_exp[i]]
+        if d_sub[i] + w_max[i]:
+            denominator = denominator * powers[i][d_sub[i] + w_max[i]]
 
     out = {e: c for e, c in out.items() if not c.is_zero}
     if len(denominator.terms) == 1:
@@ -262,7 +262,7 @@ def pullback(phi: Pluriform, chart: MonomialChart) -> PullbackResult:
         inv_coeff = model.one() / coeff
         out = {e: c.shift(inv_shift).scale(inv_coeff) for e, c in out.items()}
         denominator = LaurentPoly.one(model, n)
-    return PullbackResult(Pluriform(model, n, l, m, out), denominator)
+    return PullbackResult(Pluriform(model, n, phi.l, phi.m, out), denominator)
 
 
 def kahler_norm_at(phi: Pluriform, chart: MonomialChart) -> Val:
@@ -274,7 +274,8 @@ def kahler_norm_at(phi: Pluriform, chart: MonomialChart) -> Val:
     a * prod g_i^(I_i - w_e,i) * prod(minors of the logarithmic Jacobian),
     one for each basis index e of phi, term a*t^I of its coefficient and
     choice of nonzero minors (w_e,i counts the slots of e holding i).  The
-    Gauss valuation is multiplicative, so each summand has an exact level
+    minors come from the same table pullback expands.  The Gauss valuation
+    is multiplicative, so each summand has an exact level
     val(a) + sum k_i v(g_i) + sum v(minor), and the least level L over all
     chart indices bounds the norm from below.  The norm is L unless, at
     every index attaining L, the initial parts of the summands at level L
@@ -283,30 +284,21 @@ def kahler_norm_at(phi: Pluriform, chart: MonomialChart) -> Val:
     negative exponents (the graded ring is a domain, so neither the
     products nor the shift can vanish).  A single summand at level L needs
     no product at all.  Only when every such sum cancels is phi pulled
-    back in full (pullback) to read the norm."""
+    back in full, from that table, to read the norm."""
     if phi.model != chart.model or phi.n != chart.n:
         raise DomainError("form and chart live on different tori")
-    model, n, l = phi.model, phi.n, phi.l
-    rho = chart.rho
-    subs = chart.substitutions
-    initial = [_initial(g, rho) for g in subs]
+    n, rho = phi.n, chart.rho
+    initial = [_initial(g, rho) for g in chart.substitutions]
     g_level = [level for level, _ in initial]
     g_init = [init for _, init in initial]
-    targets = list(combinations(range(1, n + 1), l))
-    logd = [[g.log_derivative(j + 1) for j in range(n)] for g in subs]
+    table = _minor_table(chart, {s for e in phi.coeffs for s in e}, phi.l)
     # (target, level, initial part) of each nonzero minor, by source subset
-    minors = {}
-    for source in {subset for e in phi.coeffs for subset in e}:
-        minors[source] = []
-        for target in targets:
-            d = (_det([[logd[i - 1][j - 1] for j in target] for i in source])
-                 if l else LaurentPoly.one(model, n))
-            if not d.is_zero:
-                minors[source].append((target,) + _initial(d, rho))
+    minors = {source: [(target,) + _initial(d, rho) for target, d in row]
+              for source, row in table.items()}
 
     low, attaining = None, {}
     for e, coeff in phi.coeffs.items():
-        w_e = [sum(1 for subset in e if i in subset) for i in range(1, n + 1)]
+        w_e = _slot_counts(e, n)
         terms = []
         for exps, a in coeff.terms.items():
             k = [x - w for x, w in zip(exps, w_e)]
@@ -328,11 +320,11 @@ def kahler_norm_at(phi: Pluriform, chart: MonomialChart) -> Val:
         if _initial_sum_survives(summands, g_level, g_init, low, rho):
             return Val(low)
 
-    pulled = pullback(phi, chart)
+    pulled = _expand(phi, chart, table)
     if pulled.form.is_zero:
         return INF
-    best = vmin(gauss_val(c, chart.rho) for c in pulled.form.coeffs.values())
-    return best - gauss_val(pulled.denominator, chart.rho)
+    best = vmin(gauss_val(c, rho) for c in pulled.form.coeffs.values())
+    return best - gauss_val(pulled.denominator, rho)
 
 
 def _initial(f: LaurentPoly, rho) -> tuple:
@@ -387,8 +379,8 @@ def tame_certificate(chart: MonomialChart) -> TameStatus:
     tame_char = model.residue_char == 0
     subs = chart.substitutions
     if any(len(g.terms) != 1 for g in subs):
-        if model.kind != PI_ADIC_FP and not _det(
-                [[g.log_derivative(j) for j in range(1, chart.n + 1)] for g in subs]):
+        full = tuple(range(1, chart.n + 1))
+        if model.kind != PI_ADIC_FP and not _minor_table(chart, [full], chart.n)[full]:
             raise DomainError(
                 "degenerate substitution: the logarithmic Jacobian determinant is identically zero")
         return TameStatus.TAME if tame_char else TameStatus.UNKNOWN

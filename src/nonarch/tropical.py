@@ -161,13 +161,24 @@ def semistable_skeleton(n: int, va) -> RationalPolytope:
     return RationalPolytope(n, constraints)
 
 
+def _integer_rows(p: RationalPolytope) -> list:
+    """Each constraint (a, b) of p scaled by the lcm of its denominators to
+    an integer row (A, B); the scaling keeps the polyhedron and the tight
+    sets."""
+    rows = []
+    for a, b in p.constraints:
+        s = lcm(b.denominator, *(x.denominator for x in a))
+        rows.append(([x.numerator * (s // x.denominator) for x in a],
+                     b.numerator * (s // b.denominator)))
+    return rows
+
+
 def _vertex_pass(p: RationalPolytope):
     """The integer vertex pass behind polytope_vertices, bounded_vertices
     and min_locus.
 
-    Each constraint (a, b) is scaled once by the lcm of its denominators
-    to an integer row (A, B); the scaling keeps the polyhedron and the
-    tight sets.  Each n-subset of rows is solved by fraction-free
+    Each constraint (a, b) is scaled once to an integer row (A, B)
+    (_integer_rows).  Each n-subset of rows is solved by fraction-free
     Gauss-Jordan elimination (_solve_int), giving the candidate as
     nums / den with den > 0.  The same integer dots A . nums, set against
     B * den, decide containment and give the tight set, so every distinct
@@ -176,11 +187,7 @@ def _vertex_pass(p: RationalPolytope):
     Returns (rows, found): the integer rows, and for each vertex in sorted
     order the tuple (vertex as Fractions, nums, den, tight set)."""
     n = p.n
-    rows = []
-    for a, b in p.constraints:
-        s = lcm(b.denominator, *(x.denominator for x in a))
-        rows.append(([x.numerator * (s // x.denominator) for x in a],
-                     b.numerator * (s // b.denominator)))
+    rows = _integer_rows(p)
     seen = set()
     found = []
     for subset in combinations(rows, n):

@@ -361,6 +361,8 @@ ESCAPES = [
     (["eval-norm", "--field", "padic:2", "--n", "1", "--point", "0", "--epsilon", "0.1",
       "--form", "{deep}"], "out of float range"),
     (["eval-norm", "--n", "1", "--point", "1"], "--form <form file> is required"),
+    (["max-locus", "--polytope", "{bool_b}", "--form", "{form}"], "bad rational True"),
+    (["adic", "--field", "padic:2", "--matrix", "{bool_divisor}"], "bad rational True"),
 ]
 
 
@@ -373,6 +375,8 @@ def test_malformed_documents_keep_the_exit_contract(tmp_path, capsys, argv, phra
         "no_constraints": {"n": 1},
         "form": {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "t1 + 1"}]},
         "deep": {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "2^-400"}]},
+        "bool_b": {"n": 2, "constraints": [{"a": [1, 1], "b": True}]},
+        "bool_divisor": {"divisors": [True], "coords": ["2"]},
     }
     argv = [write(tmp_path, a[1:-1] + ".json", files[a[1:-1]]) if a.startswith("{") else a
             for a in argv]

@@ -419,11 +419,37 @@ def test_kahler_norm_when_initial_forms_cancel(monkeypatch):
     t = LaurentPoly.variable(k, 1, 1)
     chart = MonomialChart(k, [1 + s], rho=(1,))
     phi = Pluriform(k, 1, 0, 1, {((),): t - 1})
-    calls = []
-    monkeypatch.setattr(forms, "pullback", lambda *args: calls.append(args) or pullback(*args))
+    calls, expand = [], forms._expand
+    monkeypatch.setattr(forms, "_expand", lambda *args: calls.append(args) or expand(*args))
     assert kahler_norm_at(phi, chart) == Val(1)
     assert len(calls) == 1
     assert _kahler_norm_by_pullback(phi, chart) == Val(1)
+
+
+@pytest.mark.parametrize("model", [pi_adic_q(), p_adic_q(2)], ids=["Q(pi)", "Q_2"])
+def test_kahler_norm_read_at_an_index_off_the_least_level(monkeypatch, model):
+    """phi = (t1 - 1) dt1/t1 + c dt2/t2 with c = pi^3 (8 over Q_2), on the
+    chart t = (1 + s1, s2) at rho = (2, 0).  Index (1,) attains the least
+    level 2, but its initial parts cancel and its exact value is 4; index
+    (2,) gives 3, and so does the norm.  The fallback expands the minor
+    table read for the initial parts, so each of the four 1 x 1 minors is
+    computed once."""
+    import nonarch.forms as forms
+
+    c = model.uniformizer() ** 3 if model.has_pi else model.elem(8)
+    t1 = LaurentPoly.variable(model, 2, 1)
+    s1, s2 = (LaurentPoly.variable(model, 2, i) for i in (1, 2))
+    phi = one_form(model, 2, {1: t1 - 1, 2: LaurentPoly.constant(model, 2, c)})
+    chart = MonomialChart(model, [1 + s1, s2], rho=(2, 0))
+    pulled = pullback(phi, chart)
+    at_index = {e: gauss_val(f, chart.rho) - gauss_val(pulled.denominator, chart.rho)
+                for e, f in pulled.form.coeffs.items()}
+    assert at_index == {((1,),): Val(4), ((2,),): Val(3)}
+    assert _kahler_norm_by_pullback(phi, chart) == Val(3)
+    calls, det = [], forms._det
+    monkeypatch.setattr(forms, "_det", lambda rows: calls.append(rows) or det(rows))
+    assert kahler_norm_at(phi, chart) == Val(3)
+    assert len(calls) == 4
 
 
 def test_kahler_norm_without_cancellation_skips_the_pullback(monkeypatch):
@@ -455,7 +481,7 @@ def test_kahler_norm_without_cancellation_skips_the_pullback(monkeypatch):
     wants = [_kahler_norm_by_pullback(phi, chart) for phi, chart in cases]
 
     def refuse(*args):
-        raise AssertionError("pullback called")
+        raise AssertionError("the full pullback was expanded")
 
-    monkeypatch.setattr(forms, "pullback", refuse)
+    monkeypatch.setattr(forms, "_expand", refuse)
     assert [kahler_norm_at(phi, chart) for phi, chart in cases] == wants
