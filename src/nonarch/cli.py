@@ -19,6 +19,7 @@ from .errors import DomainError, ParseError
 from .expr import _position, parse_poly
 from .fields import BaseFieldModel, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
 from .forms import MonomialChart, Pluriform, kahler_norm_at, tame_certificate
+from .laurent import _add_term
 from .lattices import ElementaryDivisors, PresentationMatrix, adic_norm, content, semilattice_index, smith
 from .tropical import (
     RationalPolytope, _integer_rows, bounded_vertices, min_locus, retract, semistable_skeleton, tropicalize,
@@ -195,14 +196,13 @@ def _load_form(args, model) -> Pluriform:
         raise DomainError("--n (or an n field in the form file) is required")
     l = int(doc.get("l", n))
     m = int(doc.get("m", 1))
+    entries = [(tuple(tuple(int(i) for i in subset) for subset in entry["e"]),
+                parse_poly(entry["coeff"], model, n, variables="t"))
+               for entry in doc.get("entries", [])]
+    Pluriform(model, n, l, m, dict(entries))  # refuses a bad index even where its coefficients cancel
     coeffs = {}
-    for entry in doc.get("entries", []):
-        e = tuple(tuple(int(i) for i in subset) for subset in entry["e"])
-        coeff = parse_poly(entry["coeff"], model, n, variables="t")
-        if e in coeffs:
-            coeffs[e] = coeffs[e] + coeff
-        else:
-            coeffs[e] = coeff
+    for e, coeff in entries:
+        _add_term(coeffs, e, coeff)
     return Pluriform(model, n, l, m, coeffs)
 
 

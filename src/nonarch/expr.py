@@ -34,7 +34,7 @@ from operator import add
 
 from .errors import DomainError, ParseError
 from .fields import BaseFieldModel, FieldElement, _embed
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _add_term
 
 __all__ = ["parse_poly", "poly_to_expr"]
 
@@ -236,17 +236,10 @@ class _Parser:
         coeff = FieldElement._monomial(self.model, c, k)
         exps = tuple(exps)
         if poly is None:
-            items = ((exps, coeff),)
+            _add_term(terms, exps, coeff)
         else:
-            items = ((tuple(map(add, e, exps)), a * coeff) for e, a in poly.terms.items())
-        for e, a in items:
-            acc = terms.get(e)
-            if acc is not None:
-                a = acc + a
-                if a.is_zero:
-                    del terms[e]
-                    continue
-            terms[e] = a
+            for e, a in poly.terms.items():
+                _add_term(terms, tuple(map(add, e, exps)), a * coeff)
 
 
 def parse_poly(text: str, model: BaseFieldModel, n: int, variables: str = "t") -> LaurentPoly:

@@ -178,10 +178,17 @@ def _primitive(f):
     return g, tuple(c // g for c in f)
 
 
+def _scale_to_ints(qs):
+    """(scale, ints): the lcm of the denominators of the rationals qs, and
+    the list of the qs times that scale."""
+    scale = lcm(*(q.denominator for q in qs))
+    return scale, [q.numerator * (scale // q.denominator) for q in qs]
+
+
 def _q_to_z(f):
     """Fraction tuple -> (content, primitive int tuple) with f = content*prim."""
-    common = lcm(*(c.denominator for c in f))
-    g, prim = _primitive([c.numerator * (common // c.denominator) for c in f])
+    common, ints = _scale_to_ints(f)
+    g, prim = _primitive(ints)
     return Fraction(g, common), prim
 
 
@@ -447,7 +454,7 @@ class FieldElement:
         return self._check(other) / self
 
     def __pow__(self, k: int):
-        k = int(k)
+        k = _as_int(k)
         if k < 0:
             return (self.model.one() / self) ** (-k)
         if k == 0:
@@ -533,6 +540,14 @@ class FieldElement:
 
 # one shared Val per small valuation (Val is immutable)
 _SMALL_VALS = tuple(Val(k) for k in range(64))
+
+
+def _as_int(x) -> int:
+    """x as an int; a DomainError where int() would truncate (2.7 is not 2)."""
+    k = int(x)
+    if k != x:
+        raise DomainError(f"exponent {x} is not an integer")
+    return k
 
 
 def _int_padic(n: int, p: int) -> int:

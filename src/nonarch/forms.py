@@ -30,7 +30,7 @@ from operator import mul
 from .errors import DomainError
 from .fields import PI_ADIC_FP, BaseFieldModel
 from .lattices import _det
-from .laurent import LaurentPoly, gauss_val
+from .laurent import LaurentPoly, _add_term, gauss_val
 from .values import INF, Val, vmin
 
 __all__ = [
@@ -77,13 +77,6 @@ class MonomialChart:
         subs = [LaurentPoly.variable(model, n, i) for i in range(1, n + 1)]
         return cls(model, subs, rho)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(
-            g == LaurentPoly.variable(self.model, self.n, i)
-            for i, g in enumerate(self.substitutions, start=1)
-        )
-
     def __repr__(self):
         subs = ", ".join(g.to_string("s") for g in self.substitutions)
         return f"<MonomialChart t=({subs}) at rho={self.rho}>"
@@ -119,11 +112,7 @@ class Pluriform:
                 coeff = LaurentPoly.constant(model, n, coeff)
             if coeff.model != model or coeff.n != n:
                 raise DomainError("coefficient ring does not match the form")
-            if coeff.is_zero:
-                continue
-            clean[e] = clean[e] + coeff if e in clean else coeff
-            if clean[e].is_zero:
-                del clean[e]
+            _add_term(clean, e, coeff)
         self.coeffs = clean
 
     @classmethod
@@ -160,12 +149,7 @@ class PullbackResult:
 
 def differential(f: LaurentPoly) -> Pluriform:
     """df as a 1-form in the logarithmic basis: sum_i (t_i df/dt_i) dt_i/t_i."""
-    coeffs = {}
-    for i in range(1, f.n + 1):
-        c = f.log_derivative(i)
-        if not c.is_zero:
-            coeffs[((i,),)] = c
-    return Pluriform(f.model, f.n, 1, 1, coeffs)
+    return Pluriform(f.model, f.n, 1, 1, {((i,),): f.log_derivative(i) for i in range(1, f.n + 1)})
 
 
 def pullback(phi: Pluriform, chart: MonomialChart) -> PullbackResult:
@@ -247,15 +231,13 @@ def _expand(phi: Pluriform, chart: MonomialChart, table) -> PullbackResult:
             det_prod = base
             for _, d in choice:
                 det_prod = det_prod * d
-            combo = tuple(target for target, _ in choice)
-            out[combo] = out[combo] + det_prod if combo in out else det_prod
+            _add_term(out, tuple(target for target, _ in choice), det_prod)
 
     denominator = LaurentPoly.one(model, n)
     for i in range(n):
         if d_sub[i] + w_max[i]:
             denominator = denominator * powers[i][d_sub[i] + w_max[i]]
 
-    out = {e: c for e, c in out.items() if not c.is_zero}
     if len(denominator.terms) == 1:
         (exps, coeff), = denominator.terms.items()
         inv_shift = tuple(-x for x in exps)

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import DomainError, InvariantError
-from .fields import BaseFieldModel, FieldElement, _int_padic
+from .fields import BaseFieldModel, FieldElement, _int_padic, _scale_to_ints
 from .laurent import LaurentPoly, _exact_quotient, gauss_val
 from .values import INF, Val, vsum
 
@@ -216,9 +215,8 @@ def _kernel_rows(rows, model: BaseFieldModel, rho):
         return [list(r) for r in rows], FieldElement.val, _ZERO
     work, shift, p = [], 0, model.p
     for row in rows:
-        qs = [e.num[0] if e.num else 0 for e in row]
-        scale = lcm(*(q.denominator for q in qs))
-        work.append([q.numerator * (scale // q.denominator) for q in qs])
+        scale, ints = _scale_to_ints([e.num[0] if e.num else 0 for e in row])
+        work.append(ints)
         if p:
             shift += _int_padic(scale, p)
     if p:

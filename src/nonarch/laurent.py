@@ -10,6 +10,12 @@ tuple of rational radii ``rho`` evaluates term-wise:
 which is the additive form of ``|sum a_i t^i|_r = max |a_i| r^i``.  The
 valuation is multiplicative on products, so it extends to ratios of
 Laurent polynomials by subtraction.
+
+Laurent polynomials, the parser's partial sums, Kummer reductions and the
+coefficients of pluriforms are all term dicts under one rule: a repeated
+key adds, and a zero is never stored, so ``==``, ``hash``, ``is_zero`` and
+``gauss_val`` may read a dict as it stands.  _add_term is the one place
+that applies the rule.
 """
 
 from __future__ import annotations
@@ -18,18 +24,30 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import DomainError, InvariantError
-from .fields import BaseFieldModel, FieldElement
+from .fields import BaseFieldModel, FieldElement, _as_int
 from .values import INF, Val
 
 __all__ = ["LaurentPoly", "gauss_val", "gauss_val_rational", "log_derivative"]
+
+
+def _add_term(terms: dict, key, value) -> None:
+    """Add value at key in a term dict: a zero is never stored, and a key
+    whose sum cancels is deleted."""
+    acc = terms.get(key)
+    if acc is not None:
+        value = acc + value
+    if value.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = value
 
 
 class LaurentPoly:
     """Finite-support Laurent polynomial in n variables.
 
     Terms are held as a dict from exponent tuples (length n, ints, may be
-    negative) to nonzero FieldElement coefficients.  All arithmetic
-    re-canonicalizes, so no zero coefficient is ever stored.
+    negative) to nonzero FieldElement coefficients, built by _add_term.
+    Non-integral exponents are refused, not truncated.
     """
 
     __slots__ = ("model", "n", "terms")
@@ -41,18 +59,10 @@ class LaurentPoly:
         self.n = n
         clean = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(_as_int, exps))
             if len(exps) != n:
                 raise DomainError(f"exponent vector {exps} has wrong length (expected {n})")
-            coeff = model.elem(coeff)
-            if coeff.is_zero:
-                continue
-            if exps in clean:
-                coeff = clean[exps] + coeff
-                if coeff.is_zero:
-                    del clean[exps]
-                    continue
-            clean[exps] = coeff
+            _add_term(clean, exps, model.elem(coeff))
         self.terms = clean
 
     # -- constructors -----------------------------------------------------
@@ -106,12 +116,7 @@ class LaurentPoly:
         other = self._check(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff.is_zero:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = coeff
+            _add_term(terms, exps, coeff)
         return LaurentPoly._of(self.model, self.n, terms)
 
     __radd__ = __add__
@@ -130,20 +135,13 @@ class LaurentPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                acc = terms.get(e)
-                c = c if acc is None else acc + c
-                if c.is_zero:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = c
+                _add_term(terms, tuple(map(add, e1, e2)), c1 * c2)
         return LaurentPoly._of(self.model, self.n, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        k = int(k)
+        k = _as_int(k)
         if len(self.terms) == 1:
             # c*t^I goes straight to c^k*t^(kI), for every integer k
             (exps, coeff), = self.terms.items()
@@ -197,7 +195,7 @@ class LaurentPoly:
 
     def shift(self, exps) -> "LaurentPoly":
         """Multiply by the monomial t^exps (exact, always invertible)."""
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(_as_int, exps))
         if len(exps) != self.n:
             raise DomainError("shift vector has wrong length")
         return LaurentPoly._of(
@@ -292,13 +290,7 @@ def _exact_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         c = rem.pop(e) / head
         quot[q] = c
         for ge, gc in tail:
-            k = tuple(map(add, q, ge))
-            acc = rem.get(k)
-            acc = -(c * gc) if acc is None else acc - c * gc
-            if acc.is_zero:
-                del rem[k]
-            else:
-                rem[k] = acc
+            _add_term(rem, tuple(map(add, q, ge)), -(c * gc))
     return LaurentPoly._of(f.model, f.n, quot)
 
 

@@ -26,6 +26,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .errors import DomainError
+from .fields import _as_int, _scale_to_ints
 from .forms import MonomialChart, Pluriform
 from .lattices import _bareiss
 from .laurent import gauss_val
@@ -61,7 +62,7 @@ class TropPoly:
         best = {}
         for c, exps in terms:
             c = Fraction(c)
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(_as_int, exps))
             if len(exps) != self.n:
                 raise DomainError(f"slope vector {exps} has wrong length (expected {self.n})")
             if exps not in best or c < best[exps]:
@@ -123,17 +124,21 @@ class RationalPolytope:
             rows.append((a, Fraction(b)))
         self.constraints = tuple(rows)
 
-    def contains(self, point) -> bool:
+    def _point(self, point) -> tuple:
         point = tuple(Fraction(x) for x in point)
         if len(point) != self.n:
             raise DomainError("point dimension mismatch")
+        return point
+
+    def contains(self, point) -> bool:
+        point = self._point(point)
         return all(
             sum(ai * xi for ai, xi in zip(a, point)) <= b for a, b in self.constraints
         )
 
     def tight_set(self, point) -> tuple:
         """Indices of constraints active at the point."""
-        point = tuple(Fraction(x) for x in point)
+        point = self._point(point)
         out = []
         for i, (a, b) in enumerate(self.constraints):
             if sum(ai * xi for ai, xi in zip(a, point)) == b:
@@ -167,9 +172,8 @@ def _integer_rows(p: RationalPolytope) -> list:
     sets."""
     rows = []
     for a, b in p.constraints:
-        s = lcm(b.denominator, *(x.denominator for x in a))
-        rows.append(([x.numerator * (s // x.denominator) for x in a],
-                     b.numerator * (s // b.denominator)))
+        _, ints = _scale_to_ints((*a, b))
+        rows.append((ints[:-1], ints[-1]))
     return rows
 
 

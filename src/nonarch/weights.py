@@ -26,7 +26,7 @@ from math import gcd
 
 from .errors import DomainError, InvariantError
 from .fields import BaseFieldModel
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _add_term
 from .lattices import PresentationMatrix, content
 from .values import Val, vmin, vsum
 
@@ -106,13 +106,7 @@ class KummerDivisorialSpec:
                 q, r = divmod(se, exp_of[j])
                 exps[self.n + j - 1] = r
                 exps[j - 1] += q
-            key = tuple(exps)
-            acc = terms.get(key)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = coeff
+            _add_term(terms, tuple(exps), coeff)
         return LaurentPoly._of(self.model, 2 * self.n, terms)
 
     def value(self, g: LaurentPoly) -> Val:

@@ -363,6 +363,8 @@ ESCAPES = [
     (["eval-norm", "--n", "1", "--point", "1"], "--form <form file> is required"),
     (["max-locus", "--polytope", "{bool_b}", "--form", "{form}"], "bad rational True"),
     (["adic", "--field", "padic:2", "--matrix", "{bool_divisor}"], "bad rational True"),
+    (["eval-norm", "--n", "1", "--point", "1", "--form", "{zero_off_basis}"], "basis subset (2,)"),
+    (["eval-norm", "--n", "1", "--point", "1", "--form", "{cancel_off_basis}"], "basis subset (2,)"),
 ]
 
 
@@ -377,6 +379,11 @@ def test_malformed_documents_keep_the_exit_contract(tmp_path, capsys, argv, phra
         "deep": {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "2^-400"}]},
         "bool_b": {"n": 2, "constraints": [{"a": [1, 1], "b": True}]},
         "bool_divisor": {"divisors": [True], "coords": ["2"]},
+        # a basis index outside 1..n is refused even where its coefficients are zero
+        "zero_off_basis": {"l": 1, "m": 1, "entries": [{"e": [[2]], "coeff": "0"}]},
+        "cancel_off_basis": {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "t1"},
+                                                         {"e": [[2]], "coeff": "t1"},
+                                                         {"e": [[2]], "coeff": "-t1"}]},
     }
     argv = [write(tmp_path, a[1:-1] + ".json", files[a[1:-1]]) if a.startswith("{") else a
             for a in argv]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonarch.errors import DomainError
 from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
@@ -127,3 +128,115 @@ def test_single_term_powers_match_repeated_multiplication(model):
     assert g ** 3 == g * g * g
     with pytest.raises(DomainError):
         g ** -1
+
+
+def test_non_integral_powers_and_exponents_are_refused():
+    # int() would truncate each of these (pi ** 0.5 to 1, 2.9 to 2): they are refused
+    from nonarch.tropical import TropPoly
+
+    k = pi_adic_q()
+    pi = k.uniformizer()
+    t1 = LaurentPoly.variable(k, 1, 1)
+    refused = [
+        lambda: pi ** 0.5,
+        lambda: pi ** Fraction(3, 2),
+        lambda: (t1 + 1) ** 2.7,
+        lambda: t1 ** Fraction(-1, 2),
+        lambda: LaurentPoly(k, 1, {(1.5,): 1}),
+        lambda: LaurentPoly.monomial(k, 1, (2.9,)),
+        lambda: t1.shift((Fraction(1, 3),)),
+        lambda: TropPoly(1, [(0, (0.5,))]),
+    ]
+    for make in refused:
+        with pytest.raises(DomainError):
+            make()
+    # integral values of any type are still read as ints
+    assert pi ** 2.0 == pi ** 2 and (t1 + 1) ** Fraction(4, 2) == (t1 + 1) ** 2
+    assert LaurentPoly.monomial(k, 1, (2.0,)) == t1 ** 2 == t1.shift((Fraction(1),))
+    assert TropPoly(1, [(0, (1.0,))]) == TropPoly(1, [(0, (1,))])
+
+
+# (model, its sympy domain, the characteristic of its coefficients)
+_ORACLE_MODELS = [(trivial_q(), "QQ", 0), (p_adic_q(2), "QQ", 0), (pi_adic_fp(3), "GF(3)", 3)]
+
+
+@st.composite
+def _oracle_pairs(draw):
+    model, domain, char = draw(st.sampled_from(_ORACLE_MODELS))
+    n = draw(st.integers(1, 3))
+    if char:
+        coeff = st.integers(-4, 4)  # constants of F_3(pi)
+    else:
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    f, g = (LaurentPoly(model, n, draw(st.dictionaries(exps, coeff, max_size=6))) for _ in range(2))
+    return domain, n, f, g
+
+
+def _to_sympy(f, shift, gens, domain):
+    """f times (t1...tn)^shift as a sympy Poly: every exponent nonnegative."""
+    from sympy import Poly
+
+    terms = {}
+    for exps, c in f.terms.items():
+        assert c.den == (1,) and len(c.num) == 1  # a constant of the base field
+        terms[tuple(e + shift for e in exps)] = c.num[0]
+    return Poly.from_dict(terms, *gens, domain=domain)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_oracle_pairs())
+def test_laurent_arithmetic_matches_sympy(case):
+    # independent oracle: sympy's Poly over QQ (trivial, Q_2) or GF(3)
+    # (F_3(pi), constant coefficients), after shifting every exponent of
+    # an operand by 3 and of a product by 6
+    from sympy import GF, QQ, symbols
+
+    from nonarch.laurent import _exact_quotient
+
+    domain, n, f, g = case
+    gens = symbols(f"x1:{n + 1}")
+    domain = {"QQ": QQ, "GF(3)": GF(3)}[domain]
+    pf, pg = (_to_sympy(h, 3, gens, domain) for h in (f, g))
+    assert _to_sympy(f + g, 3, gens, domain) == pf + pg
+    assert _to_sympy(f - g, 3, gens, domain) == pf - pg
+    product_ = f * g
+    assert _to_sympy(product_, 6, gens, domain) == pf * pg
+    if not g.is_zero:
+        quotient = _exact_quotient(product_, g)
+        assert quotient == f
+        q, r = _to_sympy(product_, 6, gens, domain).div(pg)
+        assert r.is_zero and _to_sympy(quotient, 3, gens, domain) == q
+    for h in (f, g, f + g, f - g, product_):
+        assert all(not c.is_zero for c in h.terms.values())
+
+
+def test_every_term_dict_producer_drops_cancelled_terms():
+    # one cancelling input per producer of a term dict: the cancelled key is
+    # gone, and no stored coefficient is zero
+    from nonarch.expr import parse_poly
+    from nonarch.forms import MonomialChart, Pluriform, pullback
+    from nonarch.weights import KummerDivisorialSpec
+
+    def clean(terms):
+        return all(not c.is_zero for c in terms.values())
+
+    k = p_adic_q(3)
+    t1, t2 = LaurentPoly.variable(k, 2, 1), LaurentPoly.variable(k, 2, 2)
+    parsed = parse_poly("t1 - t1 + t2", k, 2)
+    assert parsed.terms == t2.terms and clean(parsed.terms)
+
+    spec = KummerDivisorialSpec(k, 1, [(1, 2)])
+    reduced = spec.reduce(spec.s(1) ** 2 - spec.t(1) + spec.one())
+    assert reduced.terms == spec.one().terms and clean(reduced.terms)
+
+    # two spellings of one basis index, whose t1 terms cancel
+    form = Pluriform(k, 2, 1, 1, {((1,),): t1 + t2, (("1",),): -t1})
+    assert form.coeffs == {((1,),): t2} and clean(form.coeffs)
+
+    # t1 = s1*s2, t2 = s1: dt1/t1 - dt2/t2 = ds2/s2, and the ds1/s1 sum cancels
+    s1, s2 = t1, t2
+    phi = Pluriform(k, 2, 1, 1, {((1,),): 1, ((2,),): -1})
+    pulled = pullback(phi, MonomialChart(k, [s1 * s2, s1], rho=(1, 1)))
+    assert pulled.form.coeffs == {((2,),): LaurentPoly.one(k, 2)}
+    assert pulled.denominator == 1 and clean(pulled.form.coeffs)
