@@ -188,9 +188,7 @@ class LaurentPoly:
             raise DomainError(f"variable index {i} out of range 1..{self.n}")
         terms = {}
         for exps, coeff in self.terms.items():
-            c = coeff * exps[i - 1]
-            if not c.is_zero:
-                terms[exps] = c
+            _add_term(terms, exps, coeff * exps[i - 1])
         return LaurentPoly._of(self.model, self.n, terms)
 
     def shift(self, exps) -> "LaurentPoly":
