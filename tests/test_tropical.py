@@ -70,9 +70,9 @@ def test_semistable_skeleton():
     )
     with pytest.raises(DomainError):
         semistable_skeleton(1, 0)
-    line = semistable_skeleton(2, 1)
+    simplex = semistable_skeleton(2, 1)
     for point in [(0,), (0, 0, 5)]:
-        for test in (line.contains, line.tight_set):
+        for test in (simplex.contains, simplex.tight_set):
             with pytest.raises(DomainError, match="point dimension mismatch"):
                 test(point)
 
