@@ -542,11 +542,12 @@ class FieldElement:
 _SMALL_VALS = tuple(Val(k) for k in range(64))
 
 
-def _as_int(x) -> int:
-    """x as an int; a DomainError where int() would truncate (2.7 is not 2)."""
+def _as_int(x, what="exponent") -> int:
+    """x as an int, as int() reads it; a DomainError naming x as what where
+    int() would truncate a number (2.7 is not 2)."""
     k = int(x)
-    if k != x:
-        raise DomainError(f"exponent {x} is not an integer")
+    if k != x and not isinstance(x, str):
+        raise DomainError(f"{what} {x} is not an integer")
     return k
 
 

@@ -28,7 +28,7 @@ from itertools import combinations, product
 from operator import mul
 
 from .errors import DomainError
-from .fields import PI_ADIC_FP, BaseFieldModel
+from .fields import PI_ADIC_FP, BaseFieldModel, _as_int
 from .lattices import _det
 from .laurent import LaurentPoly, _add_term, gauss_val
 from .values import INF, Val, vmin
@@ -83,7 +83,7 @@ class MonomialChart:
 
 
 def _check_subset(s, l, n):
-    s = tuple(int(i) for i in s)
+    s = tuple(_as_int(i, "basis index entry") for i in s)
     if len(s) != l or any(not 1 <= i <= n for i in s) or list(s) != sorted(set(s)):
         raise DomainError(f"basis subset {s} is not a strictly increasing {l}-subset of 1..{n}")
     return s

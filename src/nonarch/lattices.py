@@ -7,6 +7,8 @@ minimal valuation divides every other entry.  One elimination kernel
 matrix: each intermediate entry is a minor of the input, the k-th pivot
 d_k has the least valuation of any k x k minor, and each elementary
 divisor is the difference v(d_k) - v(d_(k-1)) of two successive pivots.
+The kernel keeps no valuations: each step's pivot search reads those of
+the live entries once, and gives smith the pivot valuations.
 
 Matrix entries may be plain base-field elements or Laurent polynomials in
 auxiliary variables carrying fixed Gauss radii; in the latter case entry
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError
-from .fields import BaseFieldModel, FieldElement, _int_padic, _scale_to_ints
+from .fields import BaseFieldModel, FieldElement, _as_int, _int_padic, _scale_to_ints
 from .laurent import LaurentPoly, _exact_quotient, gauss_val
 from .values import INF, Val, vsum
 
@@ -67,7 +69,7 @@ class PresentationMatrix:
 
     def __init__(self, model: BaseFieldModel, entries, nvars: int = 0, rho=()):
         self.model = model
-        self.nvars = int(nvars)
+        self.nvars = _as_int(nvars, "number of variables")
         self.rho = tuple(Fraction(r) for r in rho)
         if len(self.rho) != self.nvars:
             raise DomainError("one Gauss radius per auxiliary variable is required")
@@ -77,12 +79,9 @@ class PresentationMatrix:
         if any(len(r) != self.cols for r in rows):
             raise DomainError("ragged matrix")
         rho = self.rho
-        vals = [[gauss_val(e, rho) if rho else e.val() for e in r] for r in rows]
-        if any(v < _ZERO for r in vals for v in r):
+        if any((gauss_val(e, rho) if rho else e.val()) < _ZERO for r in rows for e in r):
             raise DomainError("presentation entries must lie in the valuation ring (valuation >= 0)")
         self.entries = tuple(rows)
-        # the elimination in smith starts from these valuations
-        self._vals = vals
 
     @classmethod
     def from_rows(cls, model, entries) -> "PresentationMatrix":
@@ -112,7 +111,7 @@ class ElementaryDivisors:
         return self.free_rank + len(self.divisors)
 
 
-def _bareiss(work, vals=None, valfn=None):
+def _bareiss(work, valfn=None):
     """Fraction-free Gaussian elimination (Bareiss, 1968) with full
     pivoting, in place on a matrix of ints, field elements or Laurent
     polynomials.
@@ -121,24 +120,24 @@ def _bareiss(work, vals=None, valfn=None):
     and sets every other live entry a_ij to (d_k a_ij - a_ip a_pj) / d_(k-1),
     with d_0 = 1.  A live entry is then the minor on the retired rows and
     columns plus its own, so every division is exact (an inexact one
-    raises InvariantError) and d_k is a k x k minor.  With vals, the matrix
-    of entry valuations, the pivot is a live entry of least valuation (ties
-    by row-major position), so v(d_k) is the least valuation of any k x k
-    minor; vals follows the entries, and valfn is called only where the
-    two products of an update have equal valuations.  Without vals the
-    pivot is the first nonzero live entry.
+    raises InvariantError) and d_k is a k x k minor.  With valfn, the
+    valuation of an entry, the pivot is the nonzero live entry of least
+    valfn value (ties by row-major position), so v(d_k) is the least
+    valuation of any k x k minor; each step calls valfn once on every
+    nonzero live entry.  Without valfn the pivot is the first nonzero live
+    entry.
 
-    Returns (positions, sign): the pivot positions (row, col) until the
-    live block is zero or empty, and the sign of the row and column
+    Returns (positions, sign, vals): the pivot positions (row, col) until
+    the live block is zero or empty, the sign of the row and column
     permutations, so that sign * d_n is the determinant of a nonsingular
-    n x n matrix."""
+    n x n matrix, and with valfn the pivot valuations v(d_k) (else [])."""
     live_rows = list(range(len(work)))
     live_cols = list(range(len(work[0]))) if work else []
-    positions = []
-    prev, prev_val = None, _ZERO
+    positions, vals = [], []
+    prev = None
     sign = 1
     while live_rows and live_cols:
-        if vals is None:
+        if valfn is None:
             at = next(((r, c) for r in live_rows for c in live_cols if work[r][c]), None)
             if at is None:
                 break
@@ -146,12 +145,16 @@ def _bareiss(work, vals=None, valfn=None):
         else:
             best, pr, pc = INF, -1, -1
             for r in live_rows:
-                vr = vals[r]
+                row = work[r]
                 for c in live_cols:
-                    if vr[c] < best:
-                        best, pr, pc = vr[c], r, c
+                    x = row[c]
+                    if x:
+                        v = valfn(x)
+                        if v < best:
+                            best, pr, pc = v, r, c
             if best.is_inf:
                 break
+            vals.append(best)
         i, j = live_rows.index(pr), live_cols.index(pc)
         if (i + j) & 1:
             sign = -sign
@@ -159,9 +162,6 @@ def _bareiss(work, vals=None, valfn=None):
         positions.append((pr, pc))
         top = work[pr]
         piv = top[pc]
-        if vals is not None:
-            vtop = vals[pr]
-            vpiv = vtop[pc]
         for r in live_rows:
             row = work[r]
             a = row[pc]
@@ -173,19 +173,8 @@ def _bareiss(work, vals=None, valfn=None):
                 if prev is not None and new:
                     new = _quotient(new, prev)
                 row[c] = new
-                if vals is not None:
-                    vrow = vals[r]
-                    v1, v2 = vpiv + vrow[c], vrow[pc] + vtop[c]
-                    if not new:
-                        vrow[c] = INF
-                    elif v1 == v2:
-                        vrow[c] = valfn(new)
-                    else:
-                        vrow[c] = min(v1, v2) - prev_val
         prev = piv
-        if vals is not None:
-            prev_val = vpiv
-    return positions, sign
+    return positions, sign, vals
 
 
 def _quotient(f, g):
@@ -234,7 +223,7 @@ def _det(rows):
         (a, b), (c, d) = rows
         return a * d - b * c
     work = [list(r) for r in rows]
-    positions, sign = _bareiss(work)
+    positions, sign, _ = _bareiss(work)
     if len(positions) < len(work):
         return work[0][0] - work[0][0]  # the zero of the entries' ring
     r, c = positions[-1]
@@ -242,16 +231,15 @@ def _det(rows):
 
 
 def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
-    """Elementary divisors of the presented module, read from the kernel's
-    successive pivot valuations (pivots of least valuation, ties broken by
-    row-major position); a negative divisor is an InvariantError."""
+    """Elementary divisors of the presented module: the differences of the
+    kernel's successive pivot valuations, as its pivot search reads them
+    (pivots of least valuation, ties broken by row-major position); a
+    negative divisor is an InvariantError."""
     work, valfn, _ = _kernel_rows(presentation.entries, presentation.model, presentation.rho)
-    vals = [list(row) for row in presentation._vals]
-    positions, _ = _bareiss(work, vals, valfn)
     divisors, last = [], _ZERO
-    for r, c in positions:
-        divisors.append(vals[r][c] - last)
-        last = vals[r][c]
+    for v in _bareiss(work, valfn)[2]:
+        divisors.append(v - last)
+        last = v
     if any(d < _ZERO for d in divisors):
         raise InvariantError("Smith pivot left the valuation ring")
     divisors.sort()

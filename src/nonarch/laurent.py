@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import DomainError, InvariantError
-from .fields import BaseFieldModel, FieldElement, _as_int
+from .fields import BaseFieldModel, FieldElement, _as_int, _scale_to_ints
 from .values import INF, Val
 
 __all__ = ["LaurentPoly", "gauss_val", "gauss_val_rational", "log_derivative"]
@@ -246,12 +246,18 @@ def _as_radii(rho, n) -> tuple:
 
 def gauss_val(f: LaurentPoly, rho) -> Val:
     """Generalized Gauss valuation of f at rational radii rho: the minimum
-    over terms of val(coefficient) + <exponents, rho>.  INF iff f = 0."""
+    over terms of val(coefficient) + <exponents, rho>.  INF iff f = 0.
+    Every model's value group is Z, so the sums run in integer levels: with
+    d the common denominator of the radii, a term's level is
+    val(coefficient) * d + <exponents, d * rho>, and the least is divided
+    by d once."""
     rho = _as_radii(rho, f.n)
     if not f.terms:
         return INF
-    return Val(min(coeff.val().fraction + sum(map(mul, exps, rho))
-                   for exps, coeff in f.terms.items()))
+    d, steps = _scale_to_ints(rho)
+    level = min(coeff.val().fraction.numerator * d + sum(map(mul, exps, steps))
+                for exps, coeff in f.terms.items())
+    return Val(Fraction(level, d))
 
 
 def _exact_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
 from .errors import DomainError
+from .fields import _as_int
 from .values import Val, vmin, vsum
 
 __all__ = [
@@ -75,34 +76,32 @@ def tensor(a: DiagSeminorm, b: DiagSeminorm) -> DiagSeminorm:
 def wedge_power(a: DiagSeminorm, q: int) -> DiagSeminorm:
     """q-th exterior power: basis of strictly increasing q-subsets, each
     weighted by the sum of its members."""
-    q = int(q)
+    q = _as_int(q, "power")
     if not 0 <= q <= a.dim:
         raise DomainError(f"wedge power {q} out of range 0..{a.dim}")
     if q == 1:
         return a
-    labels = []
-    weights = []
-    for subset in combinations(range(a.dim), q):
-        labels.append(tuple(a.labels[i] for i in subset))
-        weights.append(vsum(a.weights[i] for i in subset))
-    return DiagSeminorm(tuple(labels), tuple(weights))
+    return _power(a, combinations(range(a.dim), q))
 
 
 def sym_power(a: DiagSeminorm, q: int) -> DiagSeminorm:
     """q-th symmetric power: basis of size-q multisets, weights summed with
     multiplicity.  Over residue characteristic p with q >= p this is only
     an upper bound for the quotient seminorm (see sym_power_is_exact)."""
-    q = int(q)
+    q = _as_int(q, "power")
     if q < 0:
         raise DomainError("symmetric power requires q >= 0")
     if q == 1:
         return a
-    labels = []
-    weights = []
-    for multiset in combinations_with_replacement(range(a.dim), q):
-        labels.append(tuple(a.labels[i] for i in multiset))
-        weights.append(vsum(a.weights[i] for i in multiset))
-    return DiagSeminorm(tuple(labels), tuple(weights))
+    return _power(a, combinations_with_replacement(range(a.dim), q))
+
+
+def _power(a: DiagSeminorm, index_sets) -> DiagSeminorm:
+    """One basis vector per index set, labelled by its members' labels and
+    weighted by the sum of their weights (with multiplicity)."""
+    sets = tuple(index_sets)
+    return DiagSeminorm(tuple(tuple(a.labels[i] for i in s) for s in sets),
+                        tuple(vsum(a.weights[i] for i in s) for s in sets))
 
 
 def sym_power_is_exact(q: int, residue_char: int = 0) -> bool:

@@ -58,7 +58,7 @@ class TropPoly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms):
-        self.n = int(n)
+        self.n = _as_int(n, "dimension")
         best = {}
         for c, exps in terms:
             c = Fraction(c)
@@ -115,7 +115,7 @@ class RationalPolytope:
     __slots__ = ("n", "constraints")
 
     def __init__(self, n: int, constraints):
-        self.n = int(n)
+        self.n = _as_int(n, "dimension")
         rows = []
         for a, b in constraints:
             a = tuple(Fraction(x) for x in a)
@@ -152,7 +152,7 @@ class RationalPolytope:
 def semistable_skeleton(n: int, va) -> RationalPolytope:
     """The standard skeleton simplex { rho_i >= 0, sum rho_i <= v(a) } of
     the one-relation semistable chart in dimension n."""
-    n = int(n)
+    n = _as_int(n, "dimension")
     if n < 1:
         raise DomainError("skeleton dimension must be >= 1")
     va = Fraction(va)

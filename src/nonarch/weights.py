@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, InvariantError
-from .fields import BaseFieldModel
+from .fields import BaseFieldModel, _as_int
 from .laurent import LaurentPoly, _add_term
 from .lattices import PresentationMatrix, content
 from .values import Val, vmin, vsum
@@ -60,7 +60,7 @@ class KummerDivisorialSpec:
         pairs = []
         seen = set()
         for j, e in kummer:
-            j, e = int(j), int(e)
+            j, e = _as_int(j, "Kummer index"), _as_int(e, "Kummer degree")
             if not 1 <= j <= n:
                 raise DomainError(f"Kummer index {j} out of range 1..{n}")
             if j in seen:
@@ -192,7 +192,7 @@ def different_kummer_ramified(model: BaseFieldModel, e: int) -> Val:
     of the tame-different closed formula."""
     if model.kind != "p-adic-q":
         raise DomainError("this ramified family is defined over the p-adic model")
-    e = int(e)
+    e = _as_int(e, "ramification index")
     if e < 2:
         raise DomainError("a ramified Kummer layer needs e >= 2")
     if gcd(e, model.p) != 1:

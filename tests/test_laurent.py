@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nonarch.errors import DomainError
-from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
+from nonarch.fields import PI_ADIC_FP, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
 from nonarch.laurent import LaurentPoly, gauss_val, gauss_val_rational, log_derivative
 from nonarch.values import INF, Val
 
@@ -91,6 +91,45 @@ def test_gauss_multiplicative_and_ultrametric(model):
             assert vs == min(vf, vg)
 
 
+# the six models of the benchmark
+_GAUSS_MODELS = [trivial_q(), p_adic_q(2), p_adic_q(3), pi_adic_q(), pi_adic_fp(2), pi_adic_fp(3)]
+
+
+@st.composite
+def _gauss_cases(draw):
+    model = draw(st.sampled_from(_GAUSS_MODELS))
+    n = draw(st.integers(0, 3))
+    terms = {}
+    for exps in draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=5)):
+        if model.kind == PI_ADIC_FP:  # a constant of F_p(pi); one divisible by p is dropped
+            coeff = model.elem(draw(st.integers(-12, 12)))
+        else:
+            coeff = model.elem(draw(st.fractions(min_value=-12, max_value=12, max_denominator=9)))
+        if model.is_discrete:
+            coeff = coeff * model.uniformizer() ** draw(st.integers(-3, 3))
+        terms[exps] = coeff
+    # negative, zero, integral and fractional radii, an integral one as an
+    # int or as a Fraction
+    rho = []
+    for _ in range(n):
+        r = draw(st.fractions(min_value=-3, max_value=3, max_denominator=6))
+        rho.append(int(r) if r.denominator == 1 and draw(st.booleans()) else r)
+    return LaurentPoly(model, n, terms), tuple(rho)
+
+
+@given(_gauss_cases())
+@example((LaurentPoly.zero(pi_adic_q(), 2), (Fraction(1, 2), -1)))
+@settings(max_examples=300, deadline=None)
+def test_gauss_val_matches_the_termwise_fraction_minimum(case):
+    f, rho = case
+    if f.is_zero:
+        assert gauss_val(f, rho) == INF
+        return
+    want = min(Fraction(c.val().fraction) + sum(Fraction(i) * r for i, r in zip(e, rho))
+               for e, c in f.terms.items())
+    assert gauss_val(f, rho) == Val(want)
+
+
 def test_ring_axioms_random():
     k = pi_adic_q()
     rng = random.Random(3)
@@ -132,11 +171,17 @@ def test_single_term_powers_match_repeated_multiplication(model):
 
 def test_non_integral_powers_and_exponents_are_refused():
     # int() would truncate each of these (pi ** 0.5 to 1, 2.9 to 2): they are refused
-    from nonarch.tropical import TropPoly
+    from nonarch.forms import Pluriform
+    from nonarch.lattices import PresentationMatrix
+    from nonarch.seminorms import DiagSeminorm, sym_power, wedge_power
+    from nonarch.tropical import RationalPolytope, TropPoly, semistable_skeleton
+    from nonarch.weights import KummerDivisorialSpec, different_kummer_ramified
 
     k = pi_adic_q()
+    k3 = p_adic_q(3)
     pi = k.uniformizer()
     t1 = LaurentPoly.variable(k, 1, 1)
+    w = DiagSeminorm(("a", "b", "c"), (0, 1, 2))
     refused = [
         lambda: pi ** 0.5,
         lambda: pi ** Fraction(3, 2),
@@ -146,6 +191,16 @@ def test_non_integral_powers_and_exponents_are_refused():
         lambda: LaurentPoly.monomial(k, 1, (2.9,)),
         lambda: t1.shift((Fraction(1, 3),)),
         lambda: TropPoly(1, [(0, (0.5,))]),
+        # non-integral counts and indices, which int() would truncate too
+        lambda: Pluriform(k3, 2, 1, 1, {((1.5,),): 1}),
+        lambda: KummerDivisorialSpec(k3, 3, [(1.7, 2.5)]),
+        lambda: wedge_power(w, 1.5),
+        lambda: sym_power(w, 2.9),
+        lambda: semistable_skeleton(2.7, 1),
+        lambda: PresentationMatrix(k3, [[1]], nvars=1.9, rho=(0,)),
+        lambda: different_kummer_ramified(k3, 2.5),
+        lambda: TropPoly(1.5, [(0, (1,))]),
+        lambda: RationalPolytope(1.5, [((1,), 0)]),
     ]
     for make in refused:
         with pytest.raises(DomainError):
@@ -154,6 +209,12 @@ def test_non_integral_powers_and_exponents_are_refused():
     assert pi ** 2.0 == pi ** 2 and (t1 + 1) ** Fraction(4, 2) == (t1 + 1) ** 2
     assert LaurentPoly.monomial(k, 1, (2.0,)) == t1 ** 2 == t1.shift((Fraction(1),))
     assert TropPoly(1, [(0, (1.0,))]) == TropPoly(1, [(0, (1,))])
+    assert Pluriform(k3, 2, 1, 1, {((2.0,),): 1}).coeffs == Pluriform(k3, 2, 1, 1, {((2,),): 1}).coeffs
+    assert KummerDivisorialSpec(k3, 3, [(1.0, 2.0)]).kummer == ((1, 2),)
+    assert wedge_power(w, 2.0) == wedge_power(w, 2) and sym_power(w, Fraction(2)) == sym_power(w, 2)
+    assert semistable_skeleton(2.0, 1).n == 2 and RationalPolytope(1.0, [((1,), 0)]).n == 1
+    assert PresentationMatrix(k3, [[1]], nvars=1.0, rho=(0,)).nvars == 1
+    assert different_kummer_ramified(k3, 2.0) == Val(Fraction(1, 2))
 
 
 # (model, its sympy domain, the characteristic of its coefficients)
