@@ -226,7 +226,7 @@ class _Parser:
             pos += 1
         self.pos = pos
         if c is None:
-            c = self.model._one
+            c = 1
         if negate:
             c = -c
         if p:
@@ -258,13 +258,13 @@ def _coeff_factors(elem) -> list:
         raise DomainError(
             "coefficient has a non-monomial pi denominator; not expressible in the grammar"
         )
-    shift = len(den) - 1
+    shift, lead = len(den) - 1, den[-1]
     parts = []
     for i, c in enumerate(num):
         if not c:
             continue
         e = i - shift
-        cs = str(c)
+        cs = str(Fraction(c, lead))
         if e == 0:
             parts.append(cs)
         else:

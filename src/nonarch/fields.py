@@ -8,15 +8,19 @@ Four computable models of a valued field k are supported:
 * ``pi_adic_fp(p)`` -- F_p(pi) with the pi-adic valuation, residue field F_p.
 
 Elements of the pi-adic models are ratios of polynomials in the
-uniformizer pi, stored in one canonical form: lowest terms, monic
-denominator, zero as 0/1.  Every operation returns that form, so equality,
-hashing and printing read the stored payload.  Elements of the rational
-models are ``Fraction`` values stored as degree-zero ratios, so one
-arithmetic code path serves all four models.  Every operation is exact.
+uniformizer pi, stored as two tuples of ints in one canonical form: lowest
+terms, zero as 0/1.  Over F_p the coefficients lie in ``range(p)`` and the
+denominator is monic.  Over Q the denominator leads positive and the
+coefficients of numerator and denominator together have gcd 1, so a
+rational content lives in the ints and no coefficient is a ``Fraction``.
+Every operation returns that form, so equality and hashing read the stored
+payload; printing shows the monic form, each coefficient divided by the
+leading one of the denominator.  Elements of the rational models are
+stored as degree-zero ratios a/b, so one arithmetic code path serves all
+four models.  Every operation is exact.
 
-Coefficients are plain numbers: a ``Fraction`` over Q, an int in
-``range(p)`` over F_p.  The polynomial helpers combine them with + - * and
-reduce each result coefficient mod p once, before stripping zeros.
+The polynomial helpers combine int coefficients with + - * and reduce each
+result coefficient mod p once, before stripping zeros.
 """
 
 from __future__ import annotations
@@ -69,14 +73,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# -- polynomial helpers (coefficient tuples, lowest degree first) -----------
+# -- polynomial helpers (int tuples, lowest degree first) -------------------
 # p is the characteristic of the coefficients, 0 for Q.  Besides the
-# reduction mod p in _pstrip, only the inverse (_inv) and the embedding of a
-# rational (_embed) depend on it.
+# reduction mod p in _pstrip, only the embedding of a rational (_embed) and
+# the canonical form (_full_reduce, FieldElement._reduced) depend on it.
 
 def _embed(q, p):
-    """The coefficient an int or Fraction maps to: itself as a Fraction over
-    Q, an int in range(p) over F_p (DomainError when p divides its
+    """The scalar an int or Fraction maps to: itself as a Fraction over Q,
+    an int in range(p) over F_p (DomainError when p divides its
     denominator)."""
     q = Fraction(q)
     if not p:
@@ -84,10 +88,6 @@ def _embed(q, p):
     if q.denominator % p == 0:
         raise DomainError(f"rational {q} has no image in F_{p}")
     return q.numerator * pow(q.denominator, -1, p) % p
-
-
-def _inv(c, p):
-    return pow(c, -1, p) if p else Fraction(1) / c
 
 
 def _pstrip(cs, p=0):
@@ -120,11 +120,11 @@ def _pmul(a, b, p):
     return _pstrip(out, p)
 
 
-def _monic(num, den, p, scale=1):
-    """(scale*num/lead, den/lead) for lead the leading coefficient of den."""
-    inv = _inv(den[-1], p)
-    k = scale * inv
-    return _pstrip([c * k for c in num], p), _pstrip([c * inv for c in den], p)
+def _monic(num, den, p):
+    """(num/lead, den/lead) over F_p, for lead the leading coefficient of
+    den."""
+    inv = pow(den[-1], -1, p)
+    return _pstrip([c * inv for c in num], p), _pstrip([c * inv for c in den], p)
 
 
 # -- gcds: Euclid over F_p[pi], primitive remainder sequences over Z[pi] ----
@@ -153,20 +153,23 @@ def _euclid(a, b, p):
 
 
 def _full_reduce(num, den, p):
-    """Lowest terms with a monic denominator."""
+    """Lowest terms in the canonical form: a monic denominator over F_p;
+    over Q a denominator leading positive and joint integer content 1."""
     if p:
         g = _euclid(num, den, p)
         if len(g) > 1:
             num = _pdivmod(num, g, p)[0]
             den = _pdivmod(den, g, p)[0]
         return _monic(num, den, p)
-    cn, num = _q_to_z(num)
-    cd, den = _q_to_z(den)
+    cn, num = _primitive(num)
+    cd, den = _primitive(den)
     h = _zgcd(num, den)
     if len(h) > 1:
         num = _z_div_exact(num, h)
         den = _z_div_exact(den, h)
-    return _monic(num, den, 0, cn / cd)
+    # num/den = (cn/cd) * prim/prim, both primitive parts leading positive
+    cn, cd = _primitive((cn, cd))[1]
+    return tuple(cn * c for c in num), tuple(cd * c for c in den)
 
 
 def _primitive(f):
@@ -183,13 +186,6 @@ def _scale_to_ints(qs):
     the list of the qs times that scale."""
     scale = lcm(*(q.denominator for q in qs))
     return scale, [q.numerator * (scale // q.denominator) for q in qs]
-
-
-def _q_to_z(f):
-    """Fraction tuple -> (content, primitive int tuple) with f = content*prim."""
-    common, ints = _scale_to_ints(f)
-    g, prim = _primitive(ints)
-    return Fraction(g, common), prim
 
 
 def _z_pseudo_rem(a, b):
@@ -248,7 +244,7 @@ def _pord(a) -> int:
 class BaseFieldModel:
     """One of the four exact models of a valued base field."""
 
-    __slots__ = ("kind", "p", "_char", "_zero", "_one")
+    __slots__ = ("kind", "p", "_char")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind not in (TRIVIAL_Q, P_ADIC_Q, PI_ADIC_Q, PI_ADIC_FP):
@@ -260,10 +256,8 @@ class BaseFieldModel:
             raise DomainError(f"{kind} takes no prime parameter")
         self.kind = kind
         self.p = p
-        # coefficients: ints mod p over F_p(pi), Fractions otherwise
+        # coefficients are ints, reduced mod _char over F_p(pi)
         self._char = p if kind == PI_ADIC_FP else 0
-        self._zero = _embed(0, self._char)
-        self._one = _embed(1, self._char)
 
     # -- structure ----------------------------------------------------------
 
@@ -302,10 +296,10 @@ class BaseFieldModel:
                 raise DomainError("field element belongs to a different base field")
             return value
         c = _embed(value, self._char)
-        return FieldElement(self, (c,) if c else (), (self._one,))
+        return FieldElement(self, (c.numerator,) if c else (), (c.denominator,))
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (), (self._one,))
+        return FieldElement(self, (), (1,))
 
     def one(self) -> "FieldElement":
         return self.elem(1)
@@ -314,7 +308,7 @@ class BaseFieldModel:
         """A generator of the maximal ideal: pi for pi-adic models, p for
         the p-adic one."""
         if self.has_pi:
-            return FieldElement._monomial(self, self._one, 1)
+            return FieldElement._monomial(self, 1, 1)
         if self.kind == P_ADIC_Q:
             return self.elem(self.p)
         raise DomainError("the trivially valued field has no uniformizer")
@@ -324,7 +318,11 @@ class BaseFieldModel:
         first); coefficients are ints or Fractions, taken mod p over F_p
         (a denominator divisible by p raises DomainError)."""
         p = self._char
-        return FieldElement._reduced(self, [_embed(c, p) for c in num], [_embed(c, p) for c in den])
+        # over Q, num/den = (a/sa)/(b/sb) = (a*sb)/(b*sa) in ints; over F_p
+        # both scales are 1
+        sa, a = _scale_to_ints([_embed(c, p) for c in num])
+        sb, b = _scale_to_ints([_embed(c, p) for c in den])
+        return FieldElement._reduced(self, [c * sb for c in a], [c * sa for c in b])
 
 
 def trivial_q() -> BaseFieldModel:
@@ -346,10 +344,11 @@ def pi_adic_fp(p: int) -> BaseFieldModel:
 class FieldElement:
     """An exact element of a base-field model, in canonical form.
 
-    The payload is the ratio num/den of polynomials in pi in lowest terms
-    with a monic denominator, so equal elements have equal payloads; for
-    the rational models both polynomials have degree zero, so the element
-    is just a Fraction.
+    The payload is the ratio num/den of int tuples, polynomials in pi in
+    lowest terms: over F_p the denominator is monic, over Q it leads
+    positive and all the ints of num and den together have gcd 1.  So equal
+    elements have equal payloads.  For the rational models both polynomials
+    have degree zero, and the element a/b is ((a,), (b,)).
     """
 
     __slots__ = ("model", "num", "den")
@@ -361,34 +360,46 @@ class FieldElement:
 
     @classmethod
     def _reduced(cls, model, num, den) -> "FieldElement":
-        """The canonical form of num/den, whose coefficients are already
-        reduced: strip zeros, cancel common pi powers and divide by a
-        constant denominator; any longer denominator goes through the full
-        gcd reduction (_full_reduce)."""
+        """The canonical form of num/den, int coefficients already reduced
+        mod p: strip zeros, cancel common pi powers and divide out a
+        constant denominator (its inverse over F_p, its gcd with the
+        numerator over Q); any longer denominator goes through the full gcd
+        reduction (_full_reduce)."""
         num = _pstrip(num)
         den = _pstrip(den)
         if not den:
             raise ZeroDivisionError("zero denominator in field element")
         if not num:
-            return cls(model, (), (model._one,))
+            return cls(model, (), (1,))
         shift = min(_pord(num), _pord(den))
         if shift:
             num = num[shift:]
             den = den[shift:]
+        p = model._char
         if len(den) > 1:
-            num, den = _full_reduce(num, den, model._char)
+            num, den = _full_reduce(num, den, p)
         elif den[0] != 1:
-            num, den = _monic(num, den, model._char)
+            if p:
+                num, den = _monic(num, den, p)
+            else:
+                d = den[0]
+                g = gcd(d, *num)
+                if d < 0:
+                    g = -g
+                if g != 1:
+                    num = tuple(c // g for c in num)
+                    den = (d // g,)
         return cls(model, num, den)
 
     @classmethod
     def _monomial(cls, model, c, k: int) -> "FieldElement":
-        """c*pi^k for a nonzero reduced coefficient c, in canonical form (k
-        is 0 in the models without pi)."""
-        zeros = (model._zero,) * abs(k)
+        """c*pi^k for a nonzero coefficient c (an int or Fraction over Q, an
+        int in range(p) over F_p), in canonical form (k is 0 in the models
+        without pi)."""
+        zeros = (0,) * abs(k)
         if k >= 0:
-            return cls(model, zeros + (c,), (model._one,))
-        return cls(model, (c,), zeros + (model._one,))
+            return cls(model, zeros + (c.numerator,), (c.denominator,))
+        return cls(model, (c.numerator,), zeros + (c.denominator,))
 
     # -- ring/field operations ------------------------------------------------
 
@@ -406,7 +417,7 @@ class FieldElement:
         p = self.model._char
         if self.den == other.den:
             num = _padd(self.num, other.num, p)
-            if len(self.den) == 1:
+            if self.den == (1,):
                 return FieldElement(self.model, num, self.den)
             return FieldElement._reduced(self.model, num, self.den)
         num = _padd(_pmul(self.num, other.den, p), _pmul(other.num, self.den, p), p)
@@ -431,7 +442,7 @@ class FieldElement:
             return NotImplemented
         other = self._check(other)
         p = self.model._char
-        if len(self.den) == 1 and len(other.den) == 1:
+        if self.den == (1,) and other.den == (1,):
             return FieldElement(self.model, _pmul(self.num, other.num, p), self.den)
         return FieldElement._reduced(
             self.model, _pmul(self.num, other.num, p), _pmul(self.den, other.den, p)
@@ -460,11 +471,10 @@ class FieldElement:
         if k == 0:
             return self.model.one()
         num, den = self.num, self.den
-        # c*pi^i and c/pi^j (the monic denominator of a monomial is a power
-        # of pi) go straight to c^k*pi^((i - j)k)
+        # a*pi^i/b and a/(b*pi^j) go straight to (a/b)^k*pi^((i - j)k)
         if num and not any(num[:-1]) and not any(den[:-1]):
             p = self.model._char
-            c = pow(num[-1], k, p) if p else num[-1] ** k
+            c = pow(num[-1], k, p) if p else Fraction(num[-1], den[-1]) ** k
             return FieldElement._monomial(self.model, c, (len(num) - len(den)) * k)
         result = self.model.one()
         base = self
@@ -507,8 +517,7 @@ class FieldElement:
         if kind == TRIVIAL_Q:
             return _SMALL_VALS[0]
         if kind == P_ADIC_Q:
-            q = self.num[0]
-            k = _int_padic(q.numerator, self.model.p) - _int_padic(q.denominator, self.model.p)
+            k = _int_padic(self.num[0], self.model.p) - _int_padic(self.den[0], self.model.p)
         else:
             k = _pord(self.num) - _pord(self.den)
         return _SMALL_VALS[k] if 0 <= k < len(_SMALL_VALS) else Val(k)
@@ -516,11 +525,12 @@ class FieldElement:
     # -- rendering ---------------------------------------------------------------
 
     def _poly_str(self, coeffs) -> str:
+        lead = self.den[-1]
         parts = []
         for i, c in enumerate(coeffs):
             if not c:
                 continue
-            cs = str(c)
+            cs = str(Fraction(c, lead))
             if i == 0:
                 parts.append(cs)
             else:
@@ -545,6 +555,8 @@ _SMALL_VALS = tuple(Val(k) for k in range(64))
 def _as_int(x, what="exponent") -> int:
     """x as an int, as int() reads it; a DomainError naming x as what where
     int() would truncate a number (2.7 is not 2)."""
+    if type(x) is int:
+        return x
     k = int(x)
     if k != x and not isinstance(x, str):
         raise DomainError(f"{what} {x} is not an integer")

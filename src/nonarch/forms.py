@@ -95,6 +95,7 @@ class Pluriform:
     __slots__ = ("model", "n", "l", "m", "coeffs")
 
     def __init__(self, model: BaseFieldModel, n: int, l: int, m: int, coeffs):
+        n, l, m = _as_int(n, "dimension"), _as_int(l, "wedge degree"), _as_int(m, "tensor power")
         if not 0 <= l <= n:
             raise DomainError(f"wedge degree l={l} out of range 0..{n}")
         if m < 1:

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, InvariantError
-from .fields import BaseFieldModel, FieldElement, _as_int, _int_padic, _scale_to_ints
+from .fields import BaseFieldModel, FieldElement, _as_int, _int_padic
 from .laurent import LaurentPoly, _exact_quotient, gauss_val
 from .values import INF, Val, vsum
 
@@ -204,8 +205,8 @@ def _kernel_rows(rows, model: BaseFieldModel, rho):
         return [list(r) for r in rows], FieldElement.val, _ZERO
     work, shift, p = [], 0, model.p
     for row in rows:
-        scale, ints = _scale_to_ints([e.num[0] if e.num else 0 for e in row])
-        work.append(ints)
+        scale = lcm(*(e.den[0] for e in row))
+        work.append([e.num[0] * (scale // e.den[0]) if e.num else 0 for e in row])
         if p:
             shift += _int_padic(scale, p)
     if p:

@@ -53,6 +53,7 @@ class LaurentPoly:
     __slots__ = ("model", "n", "terms")
 
     def __init__(self, model: BaseFieldModel, n: int, terms=None):
+        n = _as_int(n, "number of variables")
         if n < 0:
             raise DomainError("number of variables must be nonnegative")
         self.model = model

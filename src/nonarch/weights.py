@@ -55,6 +55,7 @@ class KummerDivisorialSpec:
     def __init__(self, model: BaseFieldModel, n: int, kummer):
         if not model.is_discrete:
             raise DomainError("the weight norm needs a discretely valued base field")
+        n = _as_int(n, "dimension")
         if n < 1:
             raise DomainError("dimension must be >= 1")
         pairs = []

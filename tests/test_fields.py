@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -272,19 +273,130 @@ def test_canonical_form_is_unique(data):
         got, want = (a * c) / (b * c), a / b
         assert (got.num, got.den) == (want.num, want.den)
 
-    # lowest terms with a monic denominator, checked by sympy
-    assert x.den[-1] == 1
+    # lowest terms, checked by sympy, with zero as 0/1
     if not x.num:
         assert x.den == (1,)
     assert _sympy_coprime(x.num, x.den, model)
-    # the payload holds plain coefficients: Fractions over Q, ints in
-    # range(p) over F_p (an unreduced one would break == and hash)
+    # the payload holds ints: over F_p in range(p) with a monic
+    # denominator; over Q with a denominator leading positive and joint
+    # integer content 1 (an unreduced one would break == and hash)
     for z in (x, y, got, want) if b and c else (x, y):
         for coeff in z.num + z.den:
-            if model.p is None:
-                assert type(coeff) is Fraction, (z, coeff)
-            else:
-                assert type(coeff) is int and 0 <= coeff < model.p, (z, coeff)
+            assert type(coeff) is int, (z, coeff)
+            if model.p is not None:
+                assert 0 <= coeff < model.p, (z, coeff)
+        if model.p is None:
+            assert z.den[-1] > 0 and math.gcd(*z.num, *z.den) == 1, z
+        else:
+            assert z.den[-1] == 1, z
+
+
+# -- an independent oracle for the int payload: sympy and Fraction ----------
+
+def _to_sympy(x):
+    """The payload of x as two sympy Polys over QQ or GF(p)."""
+    from sympy import GF, QQ, Poly, symbols
+
+    domain = QQ if x.model.p is None else GF(x.model.p)
+    t = symbols("t")
+    return tuple(Poly(list(reversed(c)) or [0], t, domain=domain) for c in (x.num, x.den))
+
+
+def _sympy_monic(num, den):
+    """num/den in lowest terms with a monic denominator, by sympy."""
+    g = num.gcd(den)
+    num, den = num.quo(g), den.quo(g)
+    lead = den.LC()
+    return num.quo_ground(lead), den.quo_ground(lead)
+
+
+def _sympy_coeffs(f, p):
+    """The coefficients of a sympy Poly, lowest degree first: Fractions over
+    QQ, ints in range(p) over GF(p)."""
+    coeffs = [] if f.is_zero else list(reversed(f.all_coeffs()))
+    if p:
+        return [int(c) % p for c in coeffs]
+    return [Fraction(int(c.p), int(c.q)) for c in coeffs]
+
+
+def _render(coeffs):
+    """A pi-polynomial as FieldElement prints it, written out from scratch."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            pi = "pi" if i == 1 else f"pi^{i}"
+            parts.append(pi if c == 1 else f"{c}*{pi}")
+    return " + ".join(parts) or "0"
+
+
+def _monic_coeffs(z):
+    """The payload of z made monic, as the oracle's coefficients are."""
+    lead = z.den[-1]
+    if z.model.p is not None:
+        assert lead == 1, z
+        return list(z.num), list(z.den)
+    return [Fraction(c, lead) for c in z.num], [Fraction(c, lead) for c in z.den]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pi_adic_arithmetic_matches_sympy(data):
+    model = data.draw(st.sampled_from(PI_MODELS))
+    p = model.p
+    x, y = data.draw(_element(model)), data.draw(_element(model))
+    (xn, xd), (yn, yd) = _to_sympy(x), _to_sympy(y)
+    cases = [(x + y, xn * yd + yn * xd, xd * yd), (x - y, xn * yd - yn * xd, xd * yd),
+             (x * y, xn * yn, xd * yd)]
+    if y:
+        cases.append((x / y, xn * yd, xd * yn))
+    for k in range(-3, 4):
+        if x or k >= 0:
+            cases.append((x ** k, xn ** k, xd ** k) if k >= 0 else (x ** k, xd ** -k, xn ** -k))
+    for got, num, den in cases:
+        num, den = _sympy_monic(num, den)
+        want = _sympy_coeffs(num, p), _sympy_coeffs(den, p)
+        assert _monic_coeffs(got) == want, (x, y, got)
+        rendered = _render(want[0]) if want[1] == [1] else f"({_render(want[0])})/({_render(want[1])})"
+        assert str(got) == rendered
+
+
+def _p_order(q, p):
+    """The p-adic order of a nonzero Fraction, written out."""
+    k, a, b = 0, q.numerator, q.denominator
+    while a % p == 0:
+        a, k = a // p, k + 1
+    while b % p == 0:
+        b, k = b // p, k - 1
+    return k
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([trivial_q(), p_adic_q(2), p_adic_q(3)]),
+       st.fractions(min_value=-60, max_value=60, max_denominator=50),
+       st.fractions(min_value=-60, max_value=60, max_denominator=50),
+       st.integers(-3, 3))
+def test_rational_arithmetic_matches_fractions(model, a, b, k):
+    x, y = model.elem(a), model.elem(b)
+    cases = [(x + y, a + b), (x - y, a - b), (x * y, a * b)]
+    if b:
+        cases.append((x / y, a / b))
+    if a or k >= 0:
+        cases.append((x ** k, a ** k))
+    for got, want in cases:
+        # the payload is the Fraction's own lowest terms, zero as 0/1
+        assert got.num == ((want.numerator,) if want else ()), (a, b, got)
+        assert got.den == (want.denominator,), (a, b, got)
+        assert str(got) == str(want)
+        if not want:
+            assert got.val() == INF
+        elif model.p is None:
+            assert got.val() == Val(0)
+        else:
+            assert got.val() == Val(_p_order(want, model.p))
 
 
 def test_invariant_checks_run_under_optimize_flag():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -201,6 +202,12 @@ def test_non_integral_powers_and_exponents_are_refused():
         lambda: different_kummer_ramified(k3, 2.5),
         lambda: TropPoly(1.5, [(0, (1,))]),
         lambda: RationalPolytope(1.5, [((1,), 0)]),
+        # non-integral dimensions and degrees
+        lambda: LaurentPoly(k3, 1.5, {}),
+        lambda: Pluriform(k3, 2, 1.5, 1, {}),
+        lambda: Pluriform(k3, 2, 1, 1.5, {}),
+        lambda: Pluriform(k3, 2.5, 1, 1, {((1,),): 1}),
+        lambda: KummerDivisorialSpec(k3, 2.5, [(1, 2)]),
     ]
     for make in refused:
         with pytest.raises(DomainError):
@@ -215,6 +222,11 @@ def test_non_integral_powers_and_exponents_are_refused():
     assert semistable_skeleton(2.0, 1).n == 2 and RationalPolytope(1.0, [((1,), 0)]).n == 1
     assert PresentationMatrix(k3, [[1]], nvars=1.0, rho=(0,)).nvars == 1
     assert different_kummer_ramified(k3, 2.0) == Val(Fraction(1, 2))
+    assert LaurentPoly(k3, 2.0, {(1.0, 0): 1}) == LaurentPoly(k3, 2, {(1, 0): 1})
+    phi = Pluriform(k3, 2.0, 1.0, 2.0, {((1,), (2,)): 1})
+    dims = (LaurentPoly(k3, 2.0, {}).n, KummerDivisorialSpec(k3, 2.0, [(1, 2)]).n, phi.n, phi.l, phi.m)
+    assert dims == (2, 2, 2, 1, 2) and all(type(d) is int for d in dims)
+    assert phi == Pluriform(k3, 2, 1, 2, {((1,), (2,)): 1})
 
 
 # (model, its sympy domain, the characteristic of its coefficients)
@@ -240,8 +252,12 @@ def _to_sympy(f, shift, gens, domain):
 
     terms = {}
     for exps, c in f.terms.items():
-        assert c.den == (1,) and len(c.num) == 1  # a constant of the base field
-        terms[tuple(e + shift for e in exps)] = c.num[0]
+        assert len(c.num) == len(c.den) == 1  # a constant of the base field
+        a, b = c.num[0], c.den[0]
+        # in canonical form: ints in lowest terms, b > 0, and b = 1 over F_p
+        assert type(a) is type(b) is int and b > 0 and gcd(a, b) == 1
+        assert b == 1 or c.model.kind != PI_ADIC_FP
+        terms[tuple(e + shift for e in exps)] = a if b == 1 else Fraction(a, b)
     return Poly.from_dict(terms, *gens, domain=domain)
 
 
