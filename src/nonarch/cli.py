@@ -508,11 +508,15 @@ def _build_parser():
     """The top-level parser, with every subcommand's parser under it."""
     import argparse  # only a run() that needs it pays for it, not every import
 
+    # The top-level usage is written out as Python 3.10-3.12 wrap it at 80
+    # columns, since Python 3.13 wraps the subcommand choices differently.
+    indent = " " * len("usage: nonarch ")
     parser = argparse.ArgumentParser(
         prog="nonarch",
+        usage=f"%(prog)s [-h]\n{indent}{{{','.join(_HANDLERS)}}}\n{indent}...",
         description="Exact non-archimedean seminorm and tropical skeleton calculator.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="nonarch")
     for name in _HANDLERS:
         p = sub.add_parser(name)
         for flag, dest, kind, default, text in _FLAGS:

@@ -292,7 +292,7 @@ class BaseFieldModel:
     def elem(self, value) -> "FieldElement":
         """Embed an int or Fraction; pass FieldElement through unchanged."""
         if isinstance(value, FieldElement):
-            if value.model != self:
+            if value.model is not self and value.model != self:
                 raise DomainError("field element belongs to a different base field")
             return value
         c = _embed(value, self._char)
@@ -406,7 +406,7 @@ class FieldElement:
     def _check(self, other) -> "FieldElement":
         if not isinstance(other, FieldElement):
             other = self.model.elem(other)
-        elif other.model != self.model:
+        elif other.model is not self.model and other.model != self.model:
             raise DomainError("mixed base-field arithmetic")
         return other
 

@@ -1,16 +1,27 @@
-"""Exact rational linear programming by the two-phase simplex method.
+"""Exact rational linear programming by the two-phase simplex method on an
+integer tableau.
 
-Solves  min c.x  subject to  A x <= b  with free variables, entirely in
-Fraction arithmetic.  Entering and leaving variables follow Bland's rule,
-so the method terminates without any cycling safeguard tuning and the
-pivot sequence (hence the answer certificate) is deterministic.
+Solves  min c.x  subject to  A x <= b  with free variables.  A and b are
+scaled to integers by one common lcm and c by its own, so Fractions occur
+only in the input, the value and the point.  The right-hand side is the
+last column and the reduced costs the last row, and each pivot is one
+fraction-free Gauss-Jordan step on all of it (_pivot): the stored tableau
+is D > 0 times the rational one, and every division is exact.
+
+Entering and leaving variables follow Bland's rule, which reads only signs
+and the order of ratios (compared by cross-multiplication).  One positive
+scale for all rows, slacks, artificials and the objective changes neither,
+so the pivots and the results are those of the Fraction simplex kept as
+the test oracle; a scale per row would reweight the phase-1 sum of the
+artificials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvariantError
+from .errors import DomainError, InvariantError
+from .fields import _scale_to_ints
 
 __all__ = ["lp_min", "OPTIMAL", "UNBOUNDED", "INFEASIBLE"]
 
@@ -18,63 +29,57 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-class _Tableau:
-    def __init__(self, rows, rhs, basis):
-        self.rows = rows      # m x cols, Fractions
-        self.rhs = rhs        # m Fractions, >= 0
-        self.basis = basis    # m column indices
-
-    def pivot(self, r, j):
-        row = self.rows[r]
-        inv = _ONE / row[j]
-        if inv != _ONE:
-            self.rows[r] = row = [x * inv for x in row]
-            self.rhs[r] *= inv
-        for i, other in enumerate(self.rows):
-            if i == r:
-                continue
-            f = other[j]
+def _pivot(rows, r, j, prev):
+    """One fraction-free Gauss-Jordan step on the integer rows at entry
+    (r, j), in place: with p = rows[r][j], every row i != r becomes
+    (p * row_i - row_i[j] * row_r) // prev, and p is returned as the new
+    common denominator.  prev is the denominator the rows are stored over
+    (1 for the initial rows); every entry is then a minor of the initial
+    rows, so each division is exact."""
+    top = rows[r]
+    p = top[j]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[j]
             if f:
-                self.rows[i] = [x - f * y for x, y in zip(other, row)]
-                self.rhs[i] -= f * self.rhs[r]
-        self.basis[r] = j
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in row]
+    return p
 
-    def minimize(self, cost):
-        """Run simplex with Bland's rule on the canonical tableau; cost is
-        mutated into the reduced-cost row.  Returns OPTIMAL or UNBOUNDED."""
-        value = _ZERO
-        for i, b in enumerate(self.basis):
-            f = cost[b]
-            if f:
-                cost[:] = [x - f * y for x, y in zip(cost, self.rows[i])]
-                value -= f * self.rhs[i]
-        while True:
-            enter = next((j for j, cj in enumerate(cost) if cj < 0), None)
-            if enter is None:
-                self.value = -value
-                return OPTIMAL
-            leave = None
-            best = None
-            for i, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
-            if leave is None:
-                return UNBOUNDED
-            f = cost[enter]
-            self.pivot(leave, enter)
-            if f:
-                cost[:] = [x - f * y for x, y in zip(cost, self.rows[leave])]
-                value -= f * self.rhs[leave]
+
+def _cost_row(rows, basis, cost, d):
+    """The reduced costs of the cost vector over the denominator d of the
+    constraint rows, with minus d times the objective value last."""
+    out = [d * x for x in cost]
+    for row, j in zip(rows, basis):
+        f = cost[j]
+        if f:
+            out = [x - f * y for x, y in zip(out, row)]
+    return out
+
+
+def _simplex(rows, basis, d):
+    """Bland's rule on the tableau rows over the denominator d, the cost
+    row last: (OPTIMAL or UNBOUNDED, the final denominator)."""
+    while True:
+        enter = next((j for j, cj in enumerate(rows[-1][:-1]) if cj < 0), None)
+        if enter is None:
+            return OPTIMAL, d
+        leave = None
+        for i, row in enumerate(rows[:-1]):
+            a = row[enter]
+            if a > 0:
+                if leave is not None:
+                    x, y = row[-1] * best, rows[leave][-1] * a
+                    if x > y or (x == y and basis[i] > basis[leave]):
+                        continue
+                leave, best = i, a
+        if leave is None:
+            return UNBOUNDED, d
+        d = _pivot(rows, leave, enter, d)
+        basis[leave] = enter
 
 
 def lp_min(c, A, b):
@@ -88,70 +93,63 @@ def lp_min(c, A, b):
     n = len(c)
     m = len(A)
     if any(len(row) != n for row in A):
-        raise ValueError("objective and constraint dimensions disagree")
+        raise DomainError("objective and constraint dimensions disagree")
+    if len(b) != m:
+        raise DomainError("constraint and right-hand side lengths disagree")
 
-    cols = 2 * n + m
+    # columns: x+ (n), x- (n), slacks (m), artificials, right-hand side
+    _, ints = _scale_to_ints([v for row in A for v in row] + b)
+    art = 2 * n + m
+    width = art + sum(v < 0 for v in b) + 1
     rows = []
-    rhs = []
-    need_art = []
+    basis = []
+    k = art
     for i in range(m):
-        row = [_ZERO] * cols
-        for j, a in enumerate(A[i]):
-            if a:
-                row[j] = a
-                row[n + j] = -a
-        row[2 * n + i] = _ONE
-        bi = b[i]
-        if bi < 0:
+        a = ints[i * n:i * n + n]
+        row = a + [-x for x in a] + [0] * (width - 2 * n)
+        row[2 * n + i] = 1
+        row[-1] = ints[m * n + i]
+        if row[-1] < 0:
             row = [-x for x in row]
-            bi = -bi
-            need_art.append(i)
+            row[k] = 1
+            basis.append(k)
+            k += 1
+        else:
+            basis.append(2 * n + i)
         rows.append(row)
-        rhs.append(bi)
 
-    basis = [2 * n + i for i in range(m)]
-    art_start = cols
-    for i in need_art:
-        for r in range(m):
-            rows[r].append(_ONE if r == i else _ZERO)
-        basis[i] = cols
-        cols += 1
-
-    tab = _Tableau(rows, rhs, basis)
-
-    if need_art:
-        cost1 = [_ZERO] * cols
-        for j in range(art_start, cols):
-            cost1[j] = _ONE
-        if tab.minimize(cost1) != OPTIMAL:
+    d = 1
+    if k > art:
+        rows.append(_cost_row(rows, basis, [0] * art + [1] * (k - art) + [0], d))
+        status, d = _simplex(rows, basis, d)
+        if status != OPTIMAL:
             raise InvariantError("phase 1 is bounded below by 0 but read unbounded")
-        if tab.value != 0:
+        if rows[-1][-1]:
             return INFEASIBLE, None, None
-        # pivot lingering artificials out of the basis, drop redundant rows
+        # pivot lingering artificials (each at 0) out of the basis, drop
+        # redundant rows; a row is negated to keep the denominator positive
         for i in range(m - 1, -1, -1):
-            if tab.basis[i] < art_start:
+            if basis[i] < art:
                 continue
-            j = next((j for j in range(art_start) if tab.rows[i][j] != 0), None)
+            j = next((j for j in range(art) if rows[i][j]), None)
             if j is None:
-                del tab.rows[i]
-                del tab.rhs[i]
-                del tab.basis[i]
-            else:
-                tab.pivot(i, j)
-        tab.rows = [row[:art_start] for row in tab.rows]
+                del rows[i], basis[i]
+                continue
+            if rows[i][j] < 0:
+                rows[i] = [-x for x in rows[i]]
+            d = _pivot(rows, i, j, d)
+            basis[i] = j
+        rows = [row[:art] + row[-1:] for row in rows[:-1]]
 
-    cost2 = [_ZERO] * art_start
-    for j in range(n):
-        cost2[j] = c[j]
-        cost2[n + j] = -c[j]
-    status = tab.minimize(cost2)
+    scale, cost = _scale_to_ints(c)
+    rows.append(_cost_row(rows, basis, cost + [-x for x in cost] + [0] * (m + 1), d))
+    status, d = _simplex(rows, basis, d)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
 
-    point = [_ZERO] * n
-    for i, bj in enumerate(tab.basis):
-        if bj < n:
-            point[bj] += tab.rhs[i]
-        elif bj < 2 * n:
-            point[bj - n] -= tab.rhs[i]
-    return OPTIMAL, tab.value, tuple(point)
+    point = [Fraction(0)] * n
+    for row, j in zip(rows, basis):
+        if j < 2 * n:
+            v = Fraction(row[-1], d)
+            point[j % n] += v if j < n else -v
+    return OPTIMAL, Fraction(-rows[-1][-1], d * scale), tuple(point)

@@ -30,7 +30,7 @@ from .fields import _as_int, _scale_to_ints
 from .forms import MonomialChart, Pluriform
 from .lattices import _bareiss
 from .laurent import gauss_val
-from .lp import INFEASIBLE, lp_min
+from .lp import INFEASIBLE, _pivot, lp_min
 from .values import INF, Val
 
 __all__ = [
@@ -222,26 +222,17 @@ def _vertex_pass(p: RationalPolytope):
 
 def _solve_int(m, n):
     """Solve A X = den R in place for the rows [A_i | R_i] of m (n columns
-    of A, any number of R) by fraction-free Gauss-Jordan (Bareiss)
-    elimination: (X as a list of rows, den > 0), or None when A is
-    singular.  Every entry is a minor of m, so each division is exact."""
+    of A, any number of R) by fraction-free Gauss-Jordan elimination: one
+    lp._pivot per column of A, on its diagonal entry once a row swap has
+    made that nonzero.  Returns (X as a list of rows, den > 0), or None
+    when A is singular."""
     prev = 1
     for k in range(n):
         piv = k if m[k][k] else next((r for r in range(k + 1, n) if m[r][k]), None)
         if piv is None:
             return None
         m[k], m[piv] = m[piv], m[k]
-        top = m[k]
-        head = top[k]
-        tail = top[k + 1:]
-        for row in m:
-            if row is not top:
-                f = row[k]
-                if f:
-                    row[k + 1:] = [(head * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
-                else:
-                    row[k + 1:] = [head * x // prev for x in row[k + 1:]]
-        prev = head
+        prev = _pivot(m, k, k, prev)
     if prev < 0:
         return [[-x for x in row[n:]] for row in m], -prev
     return [row[n:] for row in m], prev

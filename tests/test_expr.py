@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +125,33 @@ _exponents = st.sampled_from(["", "", "", "", "^0", "^1", "^2", "^3", "^-1", "^-
 _JUNK = [")", "(", "^", "*", " t1", "/", "\n", "+", "0^-1", "pi", "$", "9" * 5001, "^-" + "9" * 5001]
 
 
+@lru_cache(maxsize=None)
+def _texts(names, junk):
+    """The strategy for an expression's text over the atom names, built
+    once per (names, junk flag), since building it costs more than drawing
+    from it.  With junk, rare zero denominators and unknown or out-of-range
+    variables join the atoms."""
+    atoms = st.one_of(
+        st.integers(1, 12).map(str),
+        st.tuples(st.integers(0, 12), st.integers(1, 6)).map(lambda q: f"{q[0]}/{q[1]}"),
+        *([st.sampled_from(names)] * 3 if names else []),
+    )
+    if junk:
+        atoms = st.one_of(atoms, st.sampled_from(["0", "1/0", "t0", "t4", "s1", "x1", "pi"]))
+    powers = st.tuples(atoms, _exponents).map("".join)
+    ops = st.sampled_from(["+", "-", " - ", " + "])
+
+    def sums(term):
+        return st.tuples(term, st.lists(st.tuples(ops, term), max_size=4)).map(
+            lambda sum_: sum_[0] + "".join(op + t for op, t in sum_[1]))
+
+    return sums(st.recursive(powers, lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=4).map("*".join),
+        inner.map(lambda term: "-" + term),
+        st.tuples(sums(inner), _exponents).map(lambda pair: f"({pair[0]}){pair[1]}"),
+    ), max_leaves=8))
+
+
 @st.composite
 def _expressions(draw):
     """A model, a ring (n, variable family) and an expression over it:
@@ -134,25 +162,7 @@ def _expressions(draw):
     variables = draw(st.sampled_from(["t", "s", "ts"]))
     names = [f"{f}{i}" for f in ("t", "s") if f in variables for i in range(1, n + 1)]
     names += ["pi"] * (2 if model.has_pi else 0)
-    atoms = st.one_of(
-        st.integers(1, 12).map(str),
-        st.tuples(st.integers(0, 12), st.integers(1, 6)).map(lambda q: f"{q[0]}/{q[1]}"),
-        *([st.sampled_from(names)] * 3 if names else []),
-    )
-    if draw(st.integers(0, 3)) == 0:
-        atoms = st.one_of(atoms, st.sampled_from(["0", "1/0", "t0", "t4", "s1", "x1", "pi"]))
-    powers = st.tuples(atoms, _exponents).map("".join)
-    ops = st.sampled_from(["+", "-", " - ", " + "])
-
-    def sums(term):
-        return st.tuples(term, st.lists(st.tuples(ops, term), max_size=4)).map(
-            lambda sum_: sum_[0] + "".join(op + t for op, t in sum_[1]))
-
-    text = draw(sums(st.recursive(powers, lambda inner: st.one_of(
-        st.lists(inner, min_size=2, max_size=4).map("*".join),
-        inner.map(lambda term: "-" + term),
-        st.tuples(sums(inner), _exponents).map(lambda pair: f"({pair[0]}){pair[1]}"),
-    ), max_leaves=8)))
+    text = draw(_texts(tuple(names), draw(st.integers(0, 3)) == 0))
     if draw(st.integers(0, 7)) == 0:
         at = draw(st.integers(0, len(text)))
         text = text[:at] + draw(st.sampled_from(_JUNK)) + text[at:]

@@ -5,10 +5,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lp_oracle
+from lp_oracle import INFEASIBLE, OPTIMAL, UNBOUNDED
 from nonarch.errors import DomainError
 from nonarch.fields import p_adic_q, pi_adic_q
 from nonarch.forms import MonomialChart, Pluriform, kahler_norm_at
-from nonarch.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_min
+from nonarch.lp import lp_min
 from nonarch.laurent import LaurentPoly
 from nonarch.tropical import (
     Face,
@@ -307,19 +309,21 @@ def test_min_locus_faces_are_faces_and_sound():
 
 def _min_locus_by_lp(poly, p):
     """The per-term LP computation min_locus replaced: one exact LP for each
-    term's minimum, then the faces from the vertex list."""
+    term's minimum, then the faces from the vertex list.  The LP is the
+    Fraction simplex of lp_oracle.py, which shares no pivot step with the
+    vertex pass."""
     a = [list(row) for row, _ in p.constraints]
     b = [bb for _, bb in p.constraints]
-    if lp_min([0] * p.n, a, b)[0] == INFEASIBLE:
+    if lp_oracle.lp_min([0] * p.n, a, b)[0] == INFEASIBLE:
         raise DomainError("empty polytope")
     for i in range(p.n):
         for sign in (1, -1):
             c = [sign if j == i else 0 for j in range(p.n)]
-            if lp_min(c, a, b)[0] == UNBOUNDED:
+            if lp_oracle.lp_min(c, a, b)[0] == UNBOUNDED:
                 raise DomainError("unbounded polyhedron; a bounded polytope is required")
     term_min = []
     for c, exps in poly.terms:
-        status, value, _ = lp_min(list(exps), a, b)
+        status, value, _ = lp_oracle.lp_min(list(exps), a, b)
         assert status == OPTIMAL
         term_min.append(c + value)
     m_star = min(term_min)
@@ -550,3 +554,33 @@ def test_min_locus_on_simplices_reads_the_stored_tight_sets(monkeypatch):
     monkeypatch.setattr(RationalPolytope, "contains", refuse)
     for poly, p, want in cases:
         assert min_locus(poly, p) == want
+
+
+def _prune_systems(poly, p):
+    """For each term, the system A x <= b of p plus the rows on which the
+    term is at most every other term: the LPs prune_never_minimal solves."""
+    a = [list(row) for row, _ in p.constraints]
+    b = [bb for _, bb in p.constraints]
+    for c, exps in poly.terms:
+        rows = [[e - e2 for e, e2 in zip(exps, exps2)] for c2, exps2 in poly.terms if exps2 != exps]
+        yield a + rows, b + [c2 - c for c2, exps2 in poly.terms if exps2 != exps]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_polytope_and_poly(), _vertex_case()), st.data())
+def test_lp_min_matches_the_fraction_simplex(case, data):
+    """The integer tableau against the Fraction simplex it replaced, on
+    bounded, empty, line-holding and unbounded polyhedra and on each
+    term's prune system: the same status, value and point, down to the
+    repr.  Prune keeps the terms the oracle finds feasible."""
+    poly, p = case
+    objectives = st.lists(_rationals, min_size=p.n, max_size=p.n)
+    systems = [([list(row) for row, _ in p.constraints], [bb for _, bb in p.constraints])]
+    systems += _prune_systems(poly, p)
+    kept = []
+    for k, (a, b) in enumerate(systems):
+        for c in ([0] * p.n, data.draw(objectives)):
+            assert repr(lp_min(c, a, b)) == repr(lp_oracle.lp_min(c, a, b))
+        if k and lp_oracle.lp_min([0] * p.n, a, b)[0] != INFEASIBLE:
+            kept.append(poly.terms[k - 1])
+    assert prune_never_minimal(poly, p) == TropPoly(p.n, kept)

@@ -3,7 +3,9 @@ of rows solved over Fractions, each candidate re-checked with
 RationalPolytope.contains, and tight sets recomputed with
 RationalPolytope.tight_set wherever they are needed.  Kept as the oracle
 the comparisons in test_tropical.py hold polytope_vertices,
-bounded_vertices and min_locus to (results, error messages and repr)."""
+bounded_vertices and min_locus to (results, error messages and repr).
+Its emptiness test runs the Fraction simplex of lp_oracle.py, so it
+shares no pivot step with the vertex pass it checks."""
 
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from itertools import combinations
 from math import lcm
 from operator import mul
 
+from lp_oracle import INFEASIBLE, lp_min
 from nonarch.errors import DomainError
-from nonarch.lp import INFEASIBLE, lp_min
 from nonarch.tropical import Face, FaceComplex, RationalPolytope, TropPoly
 
 
