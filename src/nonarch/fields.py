@@ -158,15 +158,15 @@ def _full_reduce(num, den, p):
     if p:
         g = _euclid(num, den, p)
         if len(g) > 1:
-            num = _pdivmod(num, g, p)[0]
-            den = _pdivmod(den, g, p)[0]
+            num = _pdiv_exact(num, g, p)
+            den = _pdiv_exact(den, g, p)
         return _monic(num, den, p)
     cn, num = _primitive(num)
     cd, den = _primitive(den)
     h = _zgcd(num, den)
     if len(h) > 1:
-        num = _z_div_exact(num, h)
-        den = _z_div_exact(den, h)
+        num = _pdiv_exact(num, h, 0)
+        den = _pdiv_exact(den, h, 0)
     # num/den = (cn/cd) * prim/prim, both primitive parts leading positive
     cn, cd = _primitive((cn, cd))[1]
     return tuple(cn * c for c in num), tuple(cd * c for c in den)
@@ -215,21 +215,27 @@ def _zgcd(a, b):
     return a
 
 
-def _z_div_exact(a, b):
-    """Exact division of integer polynomials (b must divide a)."""
+def _pdiv_exact(a, b, p):
+    """a / b for a nonzero b dividing a, over Z (p = 0) or F_p; an
+    InvariantError when b does not divide a."""
     a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
+    db = len(b) - 1
     lb = b[-1]
-    for shift in range(len(a) - len(b), -1, -1):
-        q, r = divmod(a[shift + len(b) - 1], lb)
-        if r:
-            raise InvariantError("inexact integer polynomial division")
+    inv = pow(lb, -1, p) if p else 0
+    out = [0] * max(0, len(a) - db)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        if p:
+            q = a[shift + db] * inv % p
+        else:
+            q, r = divmod(a[shift + db], lb)
+            if r:
+                raise InvariantError("inexact polynomial division")
         out[shift] = q
         if q:
             for i, c in enumerate(b):
                 a[shift + i] -= q * c
-    if any(a[:len(b) - 1]):
-        raise InvariantError("integer polynomial division leaves a remainder")
+    if any(c % p if p else c for c in a[:db]):
+        raise InvariantError("polynomial division leaves a remainder")
     return tuple(out)
 
 
@@ -513,14 +519,18 @@ class FieldElement:
         """The additive valuation; INF exactly for the zero element."""
         if self.is_zero:
             return INF
+        k = self._int_val()
+        return _SMALL_VALS[k] if 0 <= k < len(_SMALL_VALS) else Val(k)
+
+    def _int_val(self) -> int:
+        """The valuation of a nonzero element as an int: every model's
+        value group lies in Z."""
         kind = self.model.kind
         if kind == TRIVIAL_Q:
-            return _SMALL_VALS[0]
+            return 0
         if kind == P_ADIC_Q:
-            k = _int_padic(self.num[0], self.model.p) - _int_padic(self.den[0], self.model.p)
-        else:
-            k = _pord(self.num) - _pord(self.den)
-        return _SMALL_VALS[k] if 0 <= k < len(_SMALL_VALS) else Val(k)
+            return _int_padic(self.num[0], self.model.p) - _int_padic(self.den[0], self.model.p)
+        return _pord(self.num) - _pord(self.den)
 
     # -- rendering ---------------------------------------------------------------
 

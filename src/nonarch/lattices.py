@@ -14,8 +14,11 @@ Matrix entries may be plain base-field elements or Laurent polynomials in
 auxiliary variables carrying fixed Gauss radii; in the latter case entry
 valuations are generalized Gauss valuations.  The kernel runs on ints for
 the rational models (each row scaled by the lcm of its denominators), on
-field elements for the pi-adic ones and on Laurent polynomials otherwise
-(_kernel_rows).  It also gives forms exact integer and Laurent
+polynomials in Z[pi] or F_p[pi] for the pi-adic ones (each row scaled by
+the product of its distinct denominators), where every division is an
+exact polynomial division and no gcd runs, and on Laurent polynomials
+otherwise (_kernel_rows).  Field entries have int valuations, so the pivot
+search compares ints.  It also gives forms exact integer and Laurent
 determinants (_det), and tropical the pivot columns of a constraint matrix.
 """
 
@@ -26,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError, InvariantError
-from .fields import BaseFieldModel, FieldElement, _as_int, _int_padic
+from .fields import BaseFieldModel, FieldElement, _as_int, _int_padic, _pdiv_exact, _pmul, _pord
 from .laurent import LaurentPoly, _exact_quotient, gauss_val
 from .values import INF, Val, vsum
 
@@ -80,7 +83,8 @@ class PresentationMatrix:
         if any(len(r) != self.cols for r in rows):
             raise DomainError("ragged matrix")
         rho = self.rho
-        if any((gauss_val(e, rho) if rho else e.val()) < _ZERO for r in rows for e in r):
+        if (any(gauss_val(e, rho) < _ZERO for r in rows for e in r) if rho
+                else any(e.num and e._int_val() < 0 for r in rows for e in r)):
             raise DomainError("presentation entries must lie in the valuation ring (valuation >= 0)")
         self.entries = tuple(rows)
 
@@ -100,9 +104,10 @@ class ElementaryDivisors:
 
     def __post_init__(self):
         object.__setattr__(self, "divisors", tuple(Val(d) for d in self.divisors))
-        if any(d.is_inf or d < _ZERO for d in self.divisors):
+        qs = [None if d.is_inf else d.fraction for d in self.divisors]
+        if any(q is None or q < 0 for q in qs):
             raise DomainError("elementary divisors must be finite and >= 0")
-        if list(self.divisors) != sorted(self.divisors):
+        if qs != sorted(qs):
             raise DomainError("elementary divisors must be ascending")
         if self.free_rank < 0:
             raise DomainError("free rank must be >= 0")
@@ -122,11 +127,11 @@ def _bareiss(work, valfn=None):
     with d_0 = 1.  A live entry is then the minor on the retired rows and
     columns plus its own, so every division is exact (an inexact one
     raises InvariantError) and d_k is a k x k minor.  With valfn, the
-    valuation of an entry, the pivot is the nonzero live entry of least
-    valfn value (ties by row-major position), so v(d_k) is the least
-    valuation of any k x k minor; each step calls valfn once on every
-    nonzero live entry.  Without valfn the pivot is the first nonzero live
-    entry.
+    valuation of a nonzero entry (an int, or a Val for Laurent entries),
+    the pivot is the nonzero live entry of least valfn value (ties by
+    row-major position), so v(d_k) is the least valuation of any k x k
+    minor; each step calls valfn once on every nonzero live entry.  Without
+    valfn the pivot is the first nonzero live entry.
 
     Returns (positions, sign, vals): the pivot positions (row, col) until
     the live block is zero or empty, the sign of the row and column
@@ -144,16 +149,16 @@ def _bareiss(work, valfn=None):
                 break
             pr, pc = at
         else:
-            best, pr, pc = INF, -1, -1
+            best, pr, pc = None, -1, -1
             for r in live_rows:
                 row = work[r]
                 for c in live_cols:
                     x = row[c]
                     if x:
                         v = valfn(x)
-                        if v < best:
+                        if best is None or v < best:
                             best, pr, pc = v, r, c
-            if best.is_inf:
+            if best is None:
                 break
             vals.append(best)
         i, j = live_rows.index(pr), live_cols.index(pc)
@@ -179,39 +184,64 @@ def _bareiss(work, valfn=None):
 
 
 def _quotient(f, g):
-    """f / g in the kernel's ring, exact or an InvariantError."""
+    """f / g in the kernel's ring, exact or an InvariantError: ints, field
+    elements that are polynomials in Z[pi] or F_p[pi] (den == (1,), as
+    _kernel_rows makes them), or Laurent polynomials."""
     if isinstance(f, int):
         q, rem = divmod(f, g)
         if rem:
             raise InvariantError("inexact integer division in the elimination kernel")
         return q
     if isinstance(f, FieldElement):
-        return f / g
+        return FieldElement(f.model, _pdiv_exact(f.num, g.num, f.model._char), (1,))
     return _exact_quotient(f, g)
 
 
 def _kernel_rows(rows, model: BaseFieldModel, rho):
     """(work, valfn, shift): the kernel's copy of coerced entries, the
-    valuation of its entries, and the valuation its row scaling adds to
-    every n x n minor.
+    valuation of a nonzero entry, and the valuation its row scaling adds
+    to every n x n minor.
 
     Rows over trivial_q and p_adic_q become ints, each scaled by the lcm
-    of its denominators; for entries in K° that scale is a unit.  Over
-    the pi-adic models the entries stay field elements, and Laurent
-    entries (rho nonempty) stay Laurent polynomials, both unscaled."""
+    of its denominators.  Over the pi-adic models each row is scaled by
+    the product of its distinct denominators, so every entry is a
+    polynomial in Z[pi] or F_p[pi] (a field element with den == (1,)); a
+    row without denominators is kept as it is.  For entries in K° every
+    scale is a unit.  For field entries valfn and shift are ints.  Laurent
+    entries (rho nonempty) stay Laurent polynomials, unscaled, valued by
+    gauss_val."""
     if rho:
-        return [list(r) for r in rows], lambda e: gauss_val(e, rho), _ZERO
+        return [list(r) for r in rows], lambda e: gauss_val(e, rho), 0
+    work, shift = [], 0
     if model.has_pi:
-        return [list(r) for r in rows], FieldElement.val, _ZERO
-    work, shift, p = [], 0, model.p
+        p = model._char
+        for row in rows:
+            dens = dict.fromkeys(e.den for e in row if e.den != (1,))
+            if dens:
+                row = [FieldElement(model, _cofactor_num(e, dens, p), (1,)) for e in row]
+                shift += sum(_pord(d) for d in dens)
+            work.append(list(row))
+        return work, lambda e: _pord(e.num), shift
+    p = model.p
     for row in rows:
         scale = lcm(*(e.den[0] for e in row))
         work.append([e.num[0] * (scale // e.den[0]) if e.num else 0 for e in row])
         if p:
             shift += _int_padic(scale, p)
     if p:
-        return work, lambda n: Val(_int_padic(n, p)), Val(shift)
-    return work, lambda n: _ZERO, _ZERO
+        return work, lambda n: _int_padic(n, p), shift
+    return work, lambda n: 0, 0
+
+
+def _cofactor_num(e: FieldElement, dens, p):
+    """e times the product of the distinct denominators dens (e's own among
+    them unless e.den == (1,)), as a polynomial: e's numerator times every
+    other denominator."""
+    num = e.num
+    for d in dens:
+        if num and d != e.den:
+            num = _pmul(num, d, p)
+    return num
 
 
 def _det(rows):
@@ -237,11 +267,9 @@ def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
     (pivots of least valuation, ties broken by row-major position); a
     negative divisor is an InvariantError."""
     work, valfn, _ = _kernel_rows(presentation.entries, presentation.model, presentation.rho)
-    divisors, last = [], _ZERO
-    for v in _bareiss(work, valfn)[2]:
-        divisors.append(v - last)
-        last = v
-    if any(d < _ZERO for d in divisors):
+    vals = _bareiss(work, valfn)[2]
+    divisors = [v - last for v, last in zip(vals, [0, *vals])]
+    if any(d < 0 for d in divisors):
         raise InvariantError("Smith pivot left the valuation ring")
     divisors.sort()
     return ElementaryDivisors(tuple(divisors), presentation.rows - len(divisors))
@@ -271,7 +299,7 @@ def det_val(entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:
         return _ZERO
     work, valfn, shift = _kernel_rows(rows, model, rho)
     det = _det(work)
-    return valfn(det) - shift if det else INF
+    return Val(valfn(det) - shift) if det else INF
 
 
 def semilattice_index(m_entries, l_entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nonarch.errors import DomainError, InvariantError
 from nonarch.fields import (
-    _PRIME_LIMIT, FieldElement, _is_prime, _z_div_exact, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q,
+    _PRIME_LIMIT, FieldElement, _is_prime, _pdiv_exact, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q,
 )
 from nonarch.values import INF, Val
 
@@ -409,9 +409,9 @@ def test_invariant_checks_run_under_optimize_flag():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "from nonarch.errors import InvariantError\n"
-        "from nonarch.fields import _z_div_exact\n"
+        "from nonarch.fields import _pdiv_exact\n"
         "try:\n"
-        "    _z_div_exact((1, 1), (2,))\n"
+        "    _pdiv_exact((1, 1), (2,), 0)\n"
         "except InvariantError as exc:\n"
         "    print('raised:', exc)\n"
     )
@@ -450,9 +450,17 @@ def test_primes_past_the_exact_limit_are_refused():
 
 
 def test_z_div_exact_checks_the_remainder():
-    assert _z_div_exact((-1, 0, 1), (1, 1)) == (-1, 1)
-    assert _z_div_exact((2, 4), (1, 2)) == (2,)
+    # one exact division serves Z[pi] (p = 0) and F_p[pi]
+    assert _pdiv_exact((-1, 0, 1), (1, 1), 0) == (-1, 1)
+    assert _pdiv_exact((2, 4), (1, 2), 0) == (2,)
     with pytest.raises(InvariantError):
-        _z_div_exact((1, 0, 1), (1, 1))  # (t^2 + 1) = (t - 1)(t + 1) + 2
+        _pdiv_exact((1, 0, 1), (1, 1), 0)  # (t^2 + 1) = (t - 1)(t + 1) + 2
     with pytest.raises(InvariantError):
-        _z_div_exact((1, 2, 1, 1), (1, 1, 1))
+        _pdiv_exact((1, 2, 1, 1), (1, 1, 1), 0)
+    assert _pdiv_exact((1, 0, 1), (1, 1), 2) == (1, 1)  # t^2 + 1 = (t + 1)^2 over F_2
+    assert _pdiv_exact((2, 0, 1), (1, 2), 3) == (2, 2)  # t^2 + 2 = (1 + 2t)(2 + 2t) over F_3
+    assert _pdiv_exact((), (1, 1), 2) == ()
+    with pytest.raises(InvariantError):
+        _pdiv_exact((0, 1), (1, 1), 2)
+    with pytest.raises(InvariantError):
+        _pdiv_exact((1,), (0, 1), 3)

@@ -15,6 +15,7 @@ from nonarch.lattices import (
     ElementaryDivisors,
     PresentationMatrix,
     _det,
+    _kernel_rows,
     adic_norm,
     content,
     det_val,
@@ -401,12 +402,17 @@ def test_exact_quotient_recovers_factors_and_refuses_remainders():
 
 
 def test_inexact_division_is_refused_under_python_O():
-    code = ("from nonarch.fields import pi_adic_q\n"
+    # the field-element cases are polynomials, as _kernel_rows makes them:
+    # (1 + pi) / 2 lies in Q(pi) but not in Z[pi], pi / (1 + pi) in F_2(pi)
+    # but not in F_2[pi]
+    code = ("from nonarch.fields import pi_adic_fp, pi_adic_q\n"
             "from nonarch.laurent import LaurentPoly, _exact_quotient\n"
             "from nonarch.lattices import _quotient\n"
             "from nonarch.errors import InvariantError\n"
             "k = pi_adic_q(); t = LaurentPoly.variable(k, 2, 1); s = LaurentPoly.variable(k, 2, 2)\n"
-            "for f, g in ((t, t - s), (t + s ** 5, 1 + s ** -1), (7, 2)):\n"
+            "f2 = pi_adic_fp(2); pi = f2.uniformizer()\n"
+            "for f, g in ((t, t - s), (t + s ** 5, 1 + s ** -1), (7, 2),\n"
+            "             (k.from_pi_polys([1, 1]), k.elem(2)), (pi, 1 + pi)):\n"
             "    try:\n"
             "        _quotient(f, g)\n"
             "    except InvariantError:\n"
@@ -434,11 +440,11 @@ def _field_entry(model, c, k, d0, d1):
 
 
 @st.composite
-def _field_matrices(draw, square=False, min_k=0):
-    """A matrix over one of FIELD_MODELS, 0 x 0 up to 5 x 5, entries of
+def _field_matrices(draw, square=False, min_k=0, models=FIELD_MODELS):
+    """A matrix over one of models, 0 x 0 up to 5 x 5, entries of
     valuation >= min_k, sometimes with a zero row or column or a row that
     is a multiple of another."""
-    model = draw(st.sampled_from(FIELD_MODELS))
+    model = draw(st.sampled_from(models))
     rows = draw(st.integers(0, 5))
     cols = rows if square or not rows else draw(st.integers(0, 5))
     entry = st.tuples(st.sampled_from([0, 1, -1, 2, 3, -5, 7]), st.integers(min_k, 3),
@@ -474,6 +480,35 @@ def test_field_det_val_matches_the_field_oracle(case):
     # denominator, so the int rows carry a scaling of positive valuation
     model, entries = case
     assert det_val(entries, model) == lattice_oracle.field_det_val(entries, model)
+
+
+PI_ADIC_MODELS = [m for m in FIELD_MODELS if m.has_pi]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_field_matrices(models=PI_ADIC_MODELS),
+                 _field_matrices(min_k=-2, models=PI_ADIC_MODELS)))
+def test_pi_adic_kernel_rows_are_polynomial_multiples_of_the_input_rows(case):
+    # the kernel divides exactly in Z[pi] or F_p[pi], so every work entry
+    # is a polynomial; each work row is its input row times one element,
+    # and shift adds up the valuations of those elements
+    model, entries = case
+    work, valfn, shift = _kernel_rows(entries, model, ())
+    total = 0
+    for row, scaled in zip(entries, work):
+        assert len(scaled) == len(row)
+        assert all(w.den == (1,) for w in scaled)
+        nonzero = [(e, w) for e, w in zip(row, scaled) if e]
+        if not nonzero:
+            assert not any(scaled)
+            continue
+        scale = nonzero[0][1] / nonzero[0][0]
+        assert all(w == e * scale for e, w in zip(row, scaled))
+        assert all(valfn(w) == w.val().fraction for w in scaled if w)
+        total += scale.val().fraction
+    assert shift == total
+    if all(e.val() >= Val(0) for row in entries for e in row):
+        assert shift == 0
 
 
 @pytest.mark.parametrize("p", [0, 2, 3])
