@@ -517,10 +517,7 @@ class FieldElement:
 
     def val(self) -> Val:
         """The additive valuation; INF exactly for the zero element."""
-        if self.is_zero:
-            return INF
-        k = self._int_val()
-        return _SMALL_VALS[k] if 0 <= k < len(_SMALL_VALS) else Val(k)
+        return INF if self.is_zero else Val(self._int_val())
 
     def _int_val(self) -> int:
         """The valuation of a nonzero element as an int: every model's
@@ -556,10 +553,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self} in {self.model.kind}>"
-
-
-# one shared Val per small valuation (Val is immutable)
-_SMALL_VALS = tuple(Val(k) for k in range(64))
 
 
 def _as_int(x, what="exponent") -> int:

@@ -24,14 +24,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from operator import mul
 
 from .errors import DomainError
 from .fields import PI_ADIC_FP, BaseFieldModel, _as_int
 from .lattices import _det
-from .laurent import LaurentPoly, _add_term, gauss_val
-from .values import INF, Val, vmin
+from .laurent import LaurentPoly, _add_term, _level, _radii
+from .values import INF, Val
 
 __all__ = [
     "MonomialChart",
@@ -74,6 +75,7 @@ class MonomialChart:
 
     @classmethod
     def identity(cls, model, n, rho) -> "MonomialChart":
+        n = _as_int(n, "dimension")
         subs = [LaurentPoly.variable(model, n, i) for i in range(1, n + 1)]
         return cls(model, subs, rho)
 
@@ -259,24 +261,26 @@ def kahler_norm_at(phi: Pluriform, chart: MonomialChart) -> Val:
     choice of nonzero minors (w_e,i counts the slots of e holding i).  The
     minors come from the same table pullback expands.  The Gauss valuation
     is multiplicative, so each summand has an exact level
-    val(a) + sum k_i v(g_i) + sum v(minor), and the least level L over all
-    chart indices bounds the norm from below.  The norm is L unless, at
-    every index attaining L, the initial parts of the summands at level L
-    cancel: products of the terms at minimal level of the g_i and of the
-    minors, shifted by powers of the initial parts of the g_i to clear
-    negative exponents (the graded ring is a domain, so neither the
-    products nor the shift can vanish).  A single summand at level L needs
-    no product at all.  Only when every such sum cancels is phi pulled
-    back in full, from that table, to read the norm."""
+    val(a) + sum k_i v(g_i) + sum v(minor), an int over the radii's common
+    denominator, and the least level L over all chart indices bounds the
+    norm from below.  The norm is L unless, at every index attaining L,
+    the initial parts of the summands at level L cancel: products of the
+    terms at minimal level of the g_i and of the minors, shifted by powers
+    of the initial parts of the g_i to clear negative exponents (the
+    graded ring is a domain, so neither the products nor the shift can
+    vanish).  A single summand at level L needs no product at all.  Only
+    when every such sum cancels is phi pulled back in full, from that
+    table, to read the norm."""
     if phi.model != chart.model or phi.n != chart.n:
         raise DomainError("form and chart live on different tori")
-    n, rho = phi.n, chart.rho
-    initial = [_initial(g, rho) for g in chart.substitutions]
+    n = phi.n
+    d, steps = _radii(chart.rho, n)
+    initial = [_initial(g, d, steps) for g in chart.substitutions]
     g_level = [level for level, _ in initial]
     g_init = [init for _, init in initial]
     table = _minor_table(chart, {s for e in phi.coeffs for s in e}, phi.l)
     # (target, level, initial part) of each nonzero minor, by source subset
-    minors = {source: [(target,) + _initial(d, rho) for target, d in row]
+    minors = {source: [(target,) + _initial(minor, d, steps) for target, minor in row]
               for source, row in table.items()}
 
     low, attaining = None, {}
@@ -285,7 +289,7 @@ def kahler_norm_at(phi: Pluriform, chart: MonomialChart) -> Val:
         terms = []
         for exps, a in coeff.terms.items():
             k = [x - w for x, w in zip(exps, w_e)]
-            terms.append((a.val().fraction + sum(map(mul, k, g_level)), k, a))
+            terms.append((a._int_val() * d + sum(map(mul, k, g_level)), k, a))
         base = min(level for level, _, _ in terms)
         lowest = [(k, a) for level, k, a in terms if level == base]
         for choice in product(*(minors[subset] for subset in e)):
@@ -298,28 +302,27 @@ def kahler_norm_at(phi: Pluriform, chart: MonomialChart) -> Val:
     if low is None:
         return INF
     for summands in attaining.values():
-        if len(summands) == 1 and len(summands[0][0]) == 1:
-            return Val(low)
-        if _initial_sum_survives(summands, g_level, g_init, low, rho):
-            return Val(low)
+        if ((len(summands) == 1 and len(summands[0][0]) == 1)
+                or _initial_sum_survives(summands, g_level, g_init, low, d, steps)):
+            return Val(Fraction(low, d))
 
     pulled = _expand(phi, chart, table)
     if pulled.form.is_zero:
         return INF
-    best = vmin(gauss_val(c, rho) for c in pulled.form.coeffs.values())
-    return best - gauss_val(pulled.denominator, rho)
+    low = min(_level(c, d, steps) for c in pulled.form.coeffs.values())
+    return Val(Fraction(low - _level(pulled.denominator, d, steps), d))
 
 
-def _initial(f: LaurentPoly, rho) -> tuple:
-    """The Gauss valuation of a nonzero f at rho, as a Fraction, and its
-    initial part: the terms of f at that level."""
-    levels = {exps: c.val().fraction + sum(map(mul, exps, rho)) for exps, c in f.terms.items()}
+def _initial(f: LaurentPoly, d, steps) -> tuple:
+    """The level _level(f, d, steps) of a nonzero f, and its initial part:
+    the terms of f at that level."""
+    levels = {exps: c._int_val() * d + sum(map(mul, exps, steps)) for exps, c in f.terms.items()}
     low = min(levels.values())
     return low, LaurentPoly._of(f.model, f.n, {
         exps: f.terms[exps] for exps, level in levels.items() if level == low})
 
 
-def _initial_sum_survives(summands, g_level, g_init, low, rho) -> bool:
+def _initial_sum_survives(summands, g_level, g_init, low, d, steps) -> bool:
     """Whether the level-`low` initial parts of the summands of one chart
     index add up to a nonzero initial form.  Each summand is a * prod
     in(g_i)^(k_i + s_i) * prod in(minor); the shift s_i clears the negative
@@ -333,16 +336,14 @@ def _initial_sum_survives(summands, g_level, g_init, low, rho) -> bool:
                     shift[i] = max(shift[i], -x)
     total = None
     for lowest, inits in summands:
-        tail = None
-        for d in inits:
-            tail = d if tail is None else tail * d
+        tail = reduce(mul, inits)
         for k, a in lowest:
             f = tail.scale(a)
             for x, s, g in zip(k, shift, g_init):
                 if x + s:
                     f = f * g ** (x + s)
             total = f if total is None else total + f
-    return not total.is_zero and _initial(total, rho)[0] == low + sum(map(mul, shift, g_level))
+    return not total.is_zero and _initial(total, d, steps)[0] == low + sum(map(mul, shift, g_level))
 
 
 def tame_certificate(chart: MonomialChart) -> TameStatus:

@@ -17,9 +17,9 @@ the rational models (each row scaled by the lcm of its denominators), on
 polynomials in Z[pi] or F_p[pi] for the pi-adic ones (each row scaled by
 the product of its distinct denominators), where every division is an
 exact polynomial division and no gcd runs, and on Laurent polynomials
-otherwise (_kernel_rows).  Field entries have int valuations, so the pivot
-search compares ints.  It also gives forms exact integer and Laurent
-determinants (_det), and tropical the pivot columns of a constraint matrix.
+otherwise (_kernel_rows).  Every valuation read is an int, over the radii's
+common denominator for Laurent entries.  The kernel also gives forms exact
+determinants (_det) and tropical the pivot columns of constraint matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import lcm
 
 from .errors import DomainError, InvariantError
 from .fields import BaseFieldModel, FieldElement, _as_int, _int_padic, _pdiv_exact, _pmul, _pord
-from .laurent import LaurentPoly, _exact_quotient, gauss_val
+from .laurent import LaurentPoly, _exact_quotient, _level, _radii
 from .values import INF, Val, vsum
 
 __all__ = [
@@ -68,8 +68,9 @@ def _coerce_entry(value, model: BaseFieldModel, nvars: int):
 
 class PresentationMatrix:
     """An m x l matrix over the valuation ring K°, presenting the module
-    K°^m / (column span).  Entry valuations must be >= 0; this is checked
-    at construction."""
+    K°^m / (column span).  Construction builds the kernel's rows once and
+    checks that no entry has negative valuation: field entries are in
+    lowest terms, so a row scaling of positive valuation shows one."""
 
     def __init__(self, model: BaseFieldModel, entries, nvars: int = 0, rho=()):
         self.model = model
@@ -82,9 +83,8 @@ class PresentationMatrix:
         self.cols = len(rows[0]) if rows else 0
         if any(len(r) != self.cols for r in rows):
             raise DomainError("ragged matrix")
-        rho = self.rho
-        if (any(gauss_val(e, rho) < _ZERO for r in rows for e in r) if rho
-                else any(e.num and e._int_val() < 0 for r in rows for e in r)):
+        work, valfn, shift, _ = self._kernel = _kernel_rows(rows, model, self.rho)
+        if shift or self.rho and any(e and valfn(e) < 0 for r in work for e in r):
             raise DomainError("presentation entries must lie in the valuation ring (valuation >= 0)")
         self.entries = tuple(rows)
 
@@ -126,12 +126,12 @@ def _bareiss(work, valfn=None):
     and sets every other live entry a_ij to (d_k a_ij - a_ip a_pj) / d_(k-1),
     with d_0 = 1.  A live entry is then the minor on the retired rows and
     columns plus its own, so every division is exact (an inexact one
-    raises InvariantError) and d_k is a k x k minor.  With valfn, the
-    valuation of a nonzero entry (an int, or a Val for Laurent entries),
-    the pivot is the nonzero live entry of least valfn value (ties by
-    row-major position), so v(d_k) is the least valuation of any k x k
-    minor; each step calls valfn once on every nonzero live entry.  Without
-    valfn the pivot is the first nonzero live entry.
+    raises InvariantError) and d_k is a k x k minor.  With valfn, the int
+    valuation of a nonzero entry (a Laurent entry's laurent._level), the
+    pivot is the nonzero live entry of least valfn value (ties by row-major
+    position), so v(d_k) is the least valuation of any k x k minor; each
+    step calls valfn once on every nonzero live entry.  Without valfn the
+    pivot is the first nonzero live entry.
 
     Returns (positions, sign, vals): the pivot positions (row, col) until
     the live block is zero or empty, the sign of the row and column
@@ -198,20 +198,21 @@ def _quotient(f, g):
 
 
 def _kernel_rows(rows, model: BaseFieldModel, rho):
-    """(work, valfn, shift): the kernel's copy of coerced entries, the
-    valuation of a nonzero entry, and the valuation its row scaling adds
-    to every n x n minor.
+    """(work, valfn, shift, d): the kernel's rows of coerced entries, to be
+    copied before elimination, and as ints over d the valuation of a nonzero
+    entry and the one the row scaling adds to every n x n minor.
 
     Rows over trivial_q and p_adic_q become ints, each scaled by the lcm
     of its denominators.  Over the pi-adic models each row is scaled by
     the product of its distinct denominators, so every entry is a
     polynomial in Z[pi] or F_p[pi] (a field element with den == (1,)); a
     row without denominators is kept as it is.  For entries in K° every
-    scale is a unit.  For field entries valfn and shift are ints.  Laurent
-    entries (rho nonempty) stay Laurent polynomials, unscaled, valued by
-    gauss_val."""
+    scale is a unit, and d = 1.  Laurent entries (rho nonempty) stay
+    Laurent polynomials, unscaled, valued by laurent._level at the radii
+    prepared here once, over their common denominator d."""
     if rho:
-        return [list(r) for r in rows], lambda e: gauss_val(e, rho), 0
+        d, steps = _radii(rho, len(rho))
+        return rows, lambda e: _level(e, d, steps), 0, d
     work, shift = [], 0
     if model.has_pi:
         p = model._char
@@ -220,8 +221,8 @@ def _kernel_rows(rows, model: BaseFieldModel, rho):
             if dens:
                 row = [FieldElement(model, _cofactor_num(e, dens, p), (1,)) for e in row]
                 shift += sum(_pord(d) for d in dens)
-            work.append(list(row))
-        return work, lambda e: _pord(e.num), shift
+            work.append(row)
+        return work, lambda e: _pord(e.num), shift, 1
     p = model.p
     for row in rows:
         scale = lcm(*(e.den[0] for e in row))
@@ -229,8 +230,8 @@ def _kernel_rows(rows, model: BaseFieldModel, rho):
         if p:
             shift += _int_padic(scale, p)
     if p:
-        return work, lambda n: _int_padic(n, p), shift
-    return work, lambda n: 0, 0
+        return work, lambda n: _int_padic(n, p), shift, 1
+    return work, lambda n: 0, 0, 1
 
 
 def _cofactor_num(e: FieldElement, dens, p):
@@ -266,13 +267,13 @@ def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
     kernel's successive pivot valuations, as its pivot search reads them
     (pivots of least valuation, ties broken by row-major position); a
     negative divisor is an InvariantError."""
-    work, valfn, _ = _kernel_rows(presentation.entries, presentation.model, presentation.rho)
-    vals = _bareiss(work, valfn)[2]
-    divisors = [v - last for v, last in zip(vals, [0, *vals])]
-    if any(d < 0 for d in divisors):
+    work, valfn, _, d = presentation._kernel
+    vals = _bareiss([list(r) for r in work], valfn)[2]
+    divisors = sorted(v - last for v, last in zip(vals, [0, *vals]))
+    if divisors and divisors[0] < 0:
         raise InvariantError("Smith pivot left the valuation ring")
-    divisors.sort()
-    return ElementaryDivisors(tuple(divisors), presentation.rows - len(divisors))
+    return ElementaryDivisors(tuple(Fraction(v, d) for v in divisors),
+                              presentation.rows - len(divisors))
 
 
 def content(presentation: PresentationMatrix) -> Val:
@@ -297,9 +298,9 @@ def det_val(entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:
         raise DomainError("determinant requires a square matrix")
     if not size:
         return _ZERO
-    work, valfn, shift = _kernel_rows(rows, model, rho)
+    work, valfn, shift, d = _kernel_rows(rows, model, rho)
     det = _det(work)
-    return Val(valfn(det) - shift) if det else INF
+    return Val(Fraction(valfn(det) - shift, d)) if det else INF
 
 
 def semilattice_index(m_entries, l_entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:

@@ -93,6 +93,7 @@ class LaurentPoly:
     @classmethod
     def variable(cls, model, n, i) -> "LaurentPoly":
         """The i-th variable (1-based)."""
+        i = _as_int(i, "variable index")
         if not 1 <= i <= n:
             raise DomainError(f"variable index {i} out of range 1..{n}")
         exps = tuple(1 if k == i - 1 else 0 for k in range(n))
@@ -185,6 +186,7 @@ class LaurentPoly:
     def log_derivative(self, i: int) -> "LaurentPoly":
         """The logarithmic derivative t_i * d/dt_i (1-based index):
         sum a_I t^I  |->  sum I_i a_I t^I.  Satisfies the Leibniz rule."""
+        i = _as_int(i, "variable index")
         if not 1 <= i <= self.n:
             raise DomainError(f"variable index {i} out of range 1..{self.n}")
         terms = {}
@@ -238,27 +240,27 @@ class LaurentPoly:
         return f"<LaurentPoly {self} over {self.model.kind}>"
 
 
-def _as_radii(rho, n) -> tuple:
+def _radii(rho, n) -> tuple:
+    """(d, steps): the common denominator d of the radii rho, and d * rho."""
     rho = tuple(r if type(r) is Fraction else Fraction(r) for r in rho)
     if len(rho) != n:
         raise DomainError(f"radius vector has length {len(rho)}, expected {n}")
-    return rho
+    return _scale_to_ints(rho)
+
+
+def _level(f: LaurentPoly, d: int, steps) -> int:
+    """d * gauss_val of a nonzero f at the radii (d, steps) from _radii."""
+    return min(c._int_val() * d + sum(map(mul, e, steps)) for e, c in f.terms.items())
 
 
 def gauss_val(f: LaurentPoly, rho) -> Val:
     """Generalized Gauss valuation of f at rational radii rho: the minimum
-    over terms of val(coefficient) + <exponents, rho>.  INF iff f = 0.
-    Every model's value group is Z, so the sums run in integer levels: with
-    d the common denominator of the radii, a term's level is
-    val(coefficient) * d + <exponents, d * rho>, and the least is divided
-    by d once."""
-    rho = _as_radii(rho, f.n)
+    over terms of val(coefficient) + <exponents, rho>; INF iff f = 0.  Every
+    value group is Z, so it is _level over the radii's common denominator."""
+    d, steps = _radii(rho, f.n)
     if not f.terms:
         return INF
-    d, steps = _scale_to_ints(rho)
-    level = min(coeff.val().fraction.numerator * d + sum(map(mul, exps, steps))
-                for exps, coeff in f.terms.items())
-    return Val(Fraction(level, d))
+    return Val(Fraction(_level(f, d, steps), d))
 
 
 def _exact_quotient(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

@@ -86,11 +86,8 @@ def tropicalize(phi: Pluriform) -> TropPoly:
     """Min-plus shadow of a pluriform in identity-chart coordinates: one
     term (val(a), I) for every monomial of every coefficient.  The zero
     form tropicalizes to the empty term list (value INF everywhere)."""
-    terms = []
-    for coeff in phi.coeffs.values():
-        for exps, a in coeff.terms.items():
-            terms.append((a.val().fraction, exps))
-    return TropPoly(phi.n, terms)
+    return TropPoly(phi.n, [(a._int_val(), exps) for coeff in phi.coeffs.values()
+                            for exps, a in coeff.terms.items()])
 
 
 def trop_eval(poly: TropPoly, rho) -> Val:

@@ -87,8 +87,9 @@ class Val:
                 return NotImplemented
         return self._q == other._q
 
-    # INF is the top of the order; the four comparisons are written out
-    # rather than derived, since they sit in every pivot search
+    # INF (stored as None) is the top of the order.  Each comparison is written
+    # out: functools.total_ordering would derive three of them from __lt__ and
+    # __eq__, two calls where vmin and every other caller comparing Vals make one
     def __lt__(self, other):
         if type(other) is not Val:
             other = _coerce(other)

@@ -140,6 +140,7 @@ def _nonzero_value(spec: KummerDivisorialSpec, g: LaurentPoly) -> Val:
 def weight_norm(spec: KummerDivisorialSpec, g: LaurentPoly, m: int = 1) -> Val:
     """Weight norm of g * (dt_1 ^ .. ^ dt_n)^{tensor m}:
     v_K(g) + m * (v(Delta) + v(pi_K)) with v(pi_K) = 1."""
+    m = _as_int(m, "tensor power")
     if m < 1:
         raise DomainError("tensor power m must be >= 1")
     return _nonzero_value(spec, g) + (spec.jacobian_val() + Val(1)) * m
@@ -150,6 +151,7 @@ def kahler_norm_divisorial(spec: KummerDivisorialSpec, g: LaurentPoly, m: int = 
     point: rewriting dt_j = e_j t_j (ds_j/s_j) over each Kummer index puts
     the form in the orthonormal logarithmic basis, so the value is
     v_K(g) + m * sum v(e_j) (the t_i are units)."""
+    m = _as_int(m, "tensor power")
     if m < 1:
         raise DomainError("tensor power m must be >= 1")
     return _nonzero_value(spec, g) + spec.jacobian_val() * m
@@ -209,6 +211,7 @@ def different_kummer_ramified(model: BaseFieldModel, e: int) -> Val:
 def compare(spec: KummerDivisorialSpec, g: LaurentPoly, m: int = 1) -> ComparisonReport:
     """Verify the weight/Kahler comparison on this family:
     wt = m * (1 + delta_log_k) + omega, exactly."""
+    m = _as_int(m, "tensor power")
     wt = weight_norm(spec, g, m)
     omega = kahler_norm_divisorial(spec, g, m)
     delta = log_different(spec, over="k")

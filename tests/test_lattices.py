@@ -491,9 +491,10 @@ PI_ADIC_MODELS = [m for m in FIELD_MODELS if m.has_pi]
 def test_pi_adic_kernel_rows_are_polynomial_multiples_of_the_input_rows(case):
     # the kernel divides exactly in Z[pi] or F_p[pi], so every work entry
     # is a polynomial; each work row is its input row times one element,
-    # and shift adds up the valuations of those elements
+    # and shift adds up the valuations of those elements, over d = 1
     model, entries = case
-    work, valfn, shift = _kernel_rows(entries, model, ())
+    work, valfn, shift, d = _kernel_rows(entries, model, ())
+    assert d == 1
     total = 0
     for row, scaled in zip(entries, work):
         assert len(scaled) == len(row)
@@ -509,6 +510,49 @@ def test_pi_adic_kernel_rows_are_polynomial_multiples_of_the_input_rows(case):
     assert shift == total
     if all(e.val() >= Val(0) for row in entries for e in row):
         assert shift == 0
+
+
+@st.composite
+def _signed_laurent_matrices(draw):
+    """A Laurent matrix over one of FIELD_MODELS, in one or two variables,
+    whose entries have exponents and coefficient valuations of either sign,
+    at radii of either sign: Gauss valuations fall on both sides of 0."""
+    model = draw(st.sampled_from(FIELD_MODELS))
+    nvars = draw(st.integers(1, 2))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    term = st.tuples(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                     st.sampled_from([1, -1, 3]), st.integers(-2, 3),
+                     st.sampled_from([1, 5]), st.integers(0, 1))
+    entries = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            terms = {}
+            for exps, *coeff in draw(st.lists(term, max_size=3)):
+                exps = exps[:nvars]
+                terms[exps] = terms.get(exps, model.zero()) + _field_entry(model, *coeff)
+            row.append(LaurentPoly(model, nvars, terms))
+        entries.append(row)
+    rho = tuple(Fraction(draw(st.integers(-3, 6)), draw(st.integers(1, 3))) for _ in range(nvars))
+    return model, nvars, rho, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_field_matrices(min_k=-2).map(lambda case: (case[0], 0, (), case[1])),
+                 _signed_laurent_matrices()))
+def test_presentation_refuses_exactly_the_entries_outside_the_valuation_ring(case):
+    # field entries are read through the row scaling of _kernel_rows and
+    # Laurent entries through their levels; the oracle reads val() and
+    # gauss_val of every entry
+    model, nvars, rho, entries = case
+    outside = any((gauss_val(e, rho) if nvars else e.val()) < Val(0)
+                  for row in entries for e in row)
+    if outside:
+        with pytest.raises(DomainError, match="valuation ring"):
+            PresentationMatrix(model, entries, nvars=nvars, rho=rho)
+    else:
+        assert PresentationMatrix(model, entries, nvars=nvars, rho=rho).entries == tuple(
+            map(tuple, entries))
 
 
 @pytest.mark.parametrize("p", [0, 2, 3])

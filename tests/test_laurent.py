@@ -229,6 +229,40 @@ def test_non_integral_powers_and_exponents_are_refused():
     assert phi == Pluriform(k3, 2, 1, 2, {((1,), (2,)): 1})
 
 
+def test_non_integral_indices_and_tensor_powers_are_refused():
+    # each of these once read 1.5 as a float: a variable index matched no
+    # slot (so t_1.5 was the constant 1), a chart of dimension 1.5 or a log
+    # derivative at 1.5 escaped as a TypeError, and compare scaled by 3/2
+    from nonarch.forms import MonomialChart
+    from nonarch.weights import KummerDivisorialSpec, compare, kahler_norm_divisorial, weight_norm
+
+    k = pi_adic_q()
+    spec = KummerDivisorialSpec(p_adic_q(2), 2, [(1, 2)])
+    g = spec.one()
+    t1 = LaurentPoly.variable(k, 2, 1)
+    refused = [
+        lambda: LaurentPoly.variable(k, 2, 1.5),
+        lambda: spec.t(1.5),
+        lambda: t1.log_derivative(1.5),
+        lambda: log_derivative(t1, Fraction(3, 2)),
+        lambda: MonomialChart.identity(k, 1.5, (0,)),
+        lambda: weight_norm(spec, g, 1.5),
+        lambda: kahler_norm_divisorial(spec, g, 1.5),
+        lambda: compare(spec, g, 1.5),
+    ]
+    for make in refused:
+        with pytest.raises(DomainError, match="is not an integer"):
+            make()
+    # integral values of any type are still read as ints
+    assert LaurentPoly.variable(k, 2, 2.0) == LaurentPoly.variable(k, 2, 2)
+    assert spec.t(Fraction(2)) == spec.t(2)
+    assert (t1 * 3).log_derivative(1.0) == t1 * 3
+    assert MonomialChart.identity(k, 2.0, (0, 1)).n == 2
+    assert compare(spec, g, 2.0) == compare(spec, g, 2)
+    assert weight_norm(spec, g, 2.0) == weight_norm(spec, g, 2)
+    assert kahler_norm_divisorial(spec, g, 2.0) == kahler_norm_divisorial(spec, g, 2)
+
+
 # (model, its sympy domain, the characteristic of its coefficients)
 _ORACLE_MODELS = [(trivial_q(), "QQ", 0), (p_adic_q(2), "QQ", 0), (pi_adic_fp(3), "GF(3)", 3)]
 
