@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -553,6 +554,19 @@ def test_presentation_refuses_exactly_the_entries_outside_the_valuation_ring(cas
     else:
         assert PresentationMatrix(model, entries, nvars=nvars, rho=rho).entries == tuple(
             map(tuple, entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_signed_laurent_matrices())
+def test_laurent_kernel_levels_are_ints_over_the_radii_denominator(case):
+    # the kernel reads a Laurent entry's Gauss valuation as an int level
+    # over d, the common denominator of the radii
+    model, _, rho, entries = case
+    _, valfn, shift, d = _kernel_rows(entries, model, rho)
+    assert shift == 0 and d == lcm(*(r.denominator for r in rho))
+    levels = {e: valfn(e) for row in entries for e in row if e}
+    assert all(type(v) is int and Fraction(v, d) == gauss_val(e, rho).fraction
+               for e, v in levels.items())
 
 
 @pytest.mark.parametrize("p", [0, 2, 3])
