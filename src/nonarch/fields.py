@@ -110,6 +110,14 @@ def _padd(a, b, p):
     return _pstrip(out, p)
 
 
+def _psub(a, b, p):
+    out = list(a)
+    out += [0] * (len(b) - len(out))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _pstrip(out, p)
+
+
 def _pmul(a, b, p):
     if not a or not b:
         return ()
@@ -410,9 +418,11 @@ class FieldElement:
     # -- ring/field operations ------------------------------------------------
 
     def _check(self, other) -> "FieldElement":
+        if type(other) is FieldElement and other.model is self.model:
+            return other
         if not isinstance(other, FieldElement):
             other = self.model.elem(other)
-        elif other.model is not self.model and other.model != self.model:
+        elif other.model != self.model:
             raise DomainError("mixed base-field arithmetic")
         return other
 
@@ -438,7 +448,15 @@ class FieldElement:
     def __sub__(self, other):
         if not isinstance(other, (FieldElement, int, Fraction)):
             return NotImplemented
-        return self + (-self._check(other))
+        other = self._check(other)
+        p = self.model._char
+        if self.den == other.den:
+            num = _psub(self.num, other.num, p)
+            if self.den == (1,):
+                return FieldElement(self.model, num, self.den)
+            return FieldElement._reduced(self.model, num, self.den)
+        num = _psub(_pmul(self.num, other.den, p), _pmul(other.num, self.den, p), p)
+        return FieldElement._reduced(self.model, num, _pmul(self.den, other.den, p))
 
     def __rsub__(self, other):
         return self._check(other) - self

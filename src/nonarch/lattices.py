@@ -7,8 +7,11 @@ minimal valuation divides every other entry.  One elimination kernel
 matrix: each intermediate entry is a minor of the input, the k-th pivot
 d_k has the least valuation of any k x k minor, and each elementary
 divisor is the difference v(d_k) - v(d_(k-1)) of two successive pivots.
-The kernel keeps no valuations: each step's pivot search reads those of
-the live entries once, and gives smith the pivot valuations.
+So the content of a torsion module, the sum of its divisors, is v(d_r),
+the last pivot's valuation (r the number of rows), and content builds no
+divisors.  The kernel keeps no valuations: each step's pivot search reads
+those of the live entries once, and gives smith and content the pivot
+valuations.
 
 Matrix entries may be plain base-field elements or Laurent polynomials in
 auxiliary variables carrying fixed Gauss radii; in the latter case entry
@@ -31,7 +34,7 @@ from math import lcm
 from .errors import DomainError, InvariantError
 from .fields import BaseFieldModel, FieldElement, _as_int, _int_padic, _pdiv_exact, _pmul, _pord
 from .laurent import LaurentPoly, _exact_quotient, _level, _radii
-from .values import INF, Val, vsum
+from .values import INF, Val
 
 __all__ = [
     "PresentationMatrix",
@@ -48,6 +51,8 @@ _ZERO = Val(0)
 
 def _coerce_entry(value, model: BaseFieldModel, nvars: int):
     """Normalize an entry: FieldElement when nvars == 0, LaurentPoly else."""
+    if nvars == 0 and type(value) is FieldElement and value.model is model:
+        return value
     if isinstance(value, LaurentPoly):
         if value.model != model:
             raise DomainError("matrix entry over a different base field")
@@ -109,6 +114,7 @@ class ElementaryDivisors:
             raise DomainError("elementary divisors must be finite and >= 0")
         if qs != sorted(qs):
             raise DomainError("elementary divisors must be ascending")
+        object.__setattr__(self, "free_rank", _as_int(self.free_rank, "free rank"))
         if self.free_rank < 0:
             raise DomainError("free rank must be >= 0")
 
@@ -262,33 +268,44 @@ def _det(rows):
     return work[r][c] if sign > 0 else -work[r][c]
 
 
-def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
-    """Elementary divisors of the presented module: the differences of the
-    kernel's successive pivot valuations, as its pivot search reads them
-    (pivots of least valuation, ties broken by row-major position); a
-    negative divisor is an InvariantError."""
+def _pivot_vals(presentation: PresentationMatrix):
+    """(vals, d): the kernel's pivot valuations v(d_k), as its pivot search
+    reads them (pivots of least valuation, ties broken by row-major
+    position), ints over d; an InvariantError when one falls below its
+    predecessor (a negative elementary divisor)."""
     work, valfn, _, d = presentation._kernel
     vals = _bareiss([list(r) for r in work], valfn)[2]
-    divisors = sorted(v - last for v, last in zip(vals, [0, *vals]))
-    if divisors and divisors[0] < 0:
+    if any(v < last for v, last in zip(vals, [0, *vals])):
         raise InvariantError("Smith pivot left the valuation ring")
+    return vals, d
+
+
+def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
+    """Elementary divisors of the presented module: the differences of the
+    kernel's successive pivot valuations, ascending (a negative one is an
+    InvariantError)."""
+    vals, d = _pivot_vals(presentation)
+    divisors = sorted(v - last for v, last in zip(vals, [0, *vals]))
     return ElementaryDivisors(tuple(Fraction(v, d) for v in divisors),
-                              presentation.rows - len(divisors))
+                              presentation.rows - len(vals))
 
 
 def content(presentation: PresentationMatrix) -> Val:
-    """Content of the presented module: the sum of the elementary divisors
-    for a torsion module, INF otherwise (a free direction survives)."""
-    d = smith(presentation)
-    if d.free_rank > 0:
+    """Content of the presented module: for a torsion module the sum of
+    the elementary divisors, which telescopes to v(d_r), the valuation of
+    the last pivot (r the number of rows; 0 for no rows); INF otherwise (a
+    free direction survives)."""
+    vals, d = _pivot_vals(presentation)
+    if len(vals) < presentation.rows:
         return INF
-    return vsum(d.divisors)
+    return Val(Fraction(vals[-1], d)) if vals else _ZERO
 
 
 def det_val(entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:
     """Valuation of the determinant of a square matrix over the field, by
     the kernel's exact determinant less the row scaling's valuation; INF
     for a singular matrix."""
+    nvars = _as_int(nvars, "number of variables")
     rho = tuple(Fraction(r) for r in rho)
     if len(rho) != nvars:
         raise DomainError("one Gauss radius per auxiliary variable is required")

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from nonarch.errors import DomainError, InvariantError
 from nonarch.fields import (
-    _PRIME_LIMIT, FieldElement, _is_prime, _pdiv_exact, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q,
+    _PRIME_LIMIT, BaseFieldModel, FieldElement, _is_prime, _pdiv_exact, p_adic_q, pi_adic_fp,
+    pi_adic_q, trivial_q,
 )
 from nonarch.values import INF, Val
 
@@ -252,6 +253,25 @@ def _sympy_coprime(num, den, model):
     return gcd(*(Poly(list(reversed(c)) or [0], x, domain=domain) for c in (num, den))).degree() == 0
 
 
+def _assert_canonical(z):
+    """The payload of z is the one canonical form: int coefficients, zero
+    as 0/1, in lowest terms (by sympy for the pi-adic models); over F_p in
+    range(p) with a monic denominator, over Q a denominator leading
+    positive and joint integer content 1."""
+    model = z.model
+    assert all(type(c) is int for c in z.num + z.den), z
+    if not z.num:
+        assert z.den == (1,), z
+    if model.kind == "pi-adic-fp":
+        assert all(0 <= c < model.p for c in z.num + z.den) and z.den[-1] == 1, z
+    else:
+        assert z.den[-1] > 0 and math.gcd(*z.num, *z.den) == 1, z
+    if model.has_pi:
+        assert _sympy_coprime(z.num, z.den, model), z
+    else:
+        assert len(z.num) <= 1 and len(z.den) == 1, z
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_canonical_form_is_unique(data):
@@ -273,22 +293,9 @@ def test_canonical_form_is_unique(data):
         got, want = (a * c) / (b * c), a / b
         assert (got.num, got.den) == (want.num, want.den)
 
-    # lowest terms, checked by sympy, with zero as 0/1
-    if not x.num:
-        assert x.den == (1,)
-    assert _sympy_coprime(x.num, x.den, model)
-    # the payload holds ints: over F_p in range(p) with a monic
-    # denominator; over Q with a denominator leading positive and joint
-    # integer content 1 (an unreduced one would break == and hash)
+    # an unreduced payload would break == and hash
     for z in (x, y, got, want) if b and c else (x, y):
-        for coeff in z.num + z.den:
-            assert type(coeff) is int, (z, coeff)
-            if model.p is not None:
-                assert 0 <= coeff < model.p, (z, coeff)
-        if model.p is None:
-            assert z.den[-1] > 0 and math.gcd(*z.num, *z.den) == 1, z
-        else:
-            assert z.den[-1] == 1, z
+        _assert_canonical(z)
 
 
 # -- an independent oracle for the int payload: sympy and Fraction ----------
@@ -464,3 +471,61 @@ def test_z_div_exact_checks_the_remainder():
         _pdiv_exact((0, 1), (1, 1), 2)
     with pytest.raises(InvariantError):
         _pdiv_exact((1,), (0, 1), 3)
+
+
+# -- subtraction, in every model ----------------------------------------------
+
+ALL_MODELS = [trivial_q(), p_adic_q(2), p_adic_q(3), pi_adic_q(), pi_adic_fp(2), pi_adic_fp(3)]
+# rationals with an image in every model
+_SCALARS = st.one_of(st.integers(-20, 20), st.builds(Fraction, st.integers(-20, 20),
+                                                     st.sampled_from([1, 5, 7])))
+
+
+def _any_element(model):
+    if model.has_pi:
+        return _element(model)
+    return st.fractions(min_value=-60, max_value=60, max_denominator=50).map(model.elem)
+
+
+def _rational(z):
+    """The Fraction a rational-model element stands for."""
+    return Fraction(z.num[0], z.den[0]) if z.num else Fraction(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subtraction_matches_negated_addition_and_the_oracles(data):
+    model = data.draw(st.sampled_from(ALL_MODELS))
+    x = data.draw(_any_element(model))
+    # y on x's denominator (x plus a polynomial) or on its own
+    same = data.draw(st.booleans())
+    if same:
+        c = data.draw(_pi_poly(model) if model.has_pi else st.integers(-20, 20).map(model.elem))
+        y = x + c
+        assert y.den == x.den
+    else:
+        y = data.draw(_any_element(model))
+    q = data.draw(_SCALARS)
+    cases = [(x - y, x + (-y)), (y - x, y + (-x)), (x - q, x + (-model.elem(q))),
+             (q - x, model.elem(q) + (-x)), (x - x, model.zero())]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    assert q - x == -(x - q)
+    # independent oracles: sympy over QQ[t] or GF(p)[t], Fraction arithmetic
+    if model.has_pi:
+        (xn, xd), (yn, yd) = _to_sympy(x), _to_sympy(y)
+        num, den = _sympy_monic(xn * yd - yn * xd, xd * yd)
+        assert _monic_coeffs(x - y) == (_sympy_coeffs(num, model.p), _sympy_coeffs(den, model.p))
+    else:
+        assert _rational(x - y) == _rational(x) - _rational(y)
+        assert _rational(q - x) == q - _rational(x)
+    # an equal model held by another object is the same field; another
+    # model is refused on either side
+    twin = FieldElement(BaseFieldModel(model.kind, model.p), y.num, y.den)
+    assert (x - twin).num == (x - y).num and (x - twin).den == (x - y).den
+    other = pi_adic_q() if model.kind != "pi-adic-q" else pi_adic_fp(2)
+    for a, b in ((x, other.one()), (other.one(), x)):
+        with pytest.raises(DomainError, match="mixed base-field arithmetic"):
+            a - b

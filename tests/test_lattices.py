@@ -569,6 +569,76 @@ def test_laurent_kernel_levels_are_ints_over_the_radii_denominator(case):
                for e, v in levels.items())
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_field_matrices().map(lambda case: (case[0], 0, (), case[1])),
+                 _field_matrices(min_k=-2).map(lambda case: (case[0], 0, (), case[1])),
+                 _signed_laurent_matrices()))
+def test_content_is_the_last_pivot_and_the_divisor_sum(case):
+    # content reads v(d_r) from the kernel's last pivot; the divisors of
+    # smith sum to it, and both agree with elimination in the field (or in
+    # ratios of Laurent polynomials); cases outside K° are refused on
+    # construction
+    model, nvars, rho, entries = case
+    try:
+        pres = PresentationMatrix(model, entries, nvars=nvars, rho=rho)
+    except DomainError:
+        return
+    d = smith(pres)
+    got = content(pres)
+    assert got == (INF if d.free_rank else vsum(d.divisors))
+    expected = lattice_oracle.smith(pres) if nvars else lattice_oracle.field_smith(pres)
+    assert d == expected
+    assert got == (INF if expected.free_rank else vsum(expected.divisors))
+
+
+@pytest.mark.parametrize("fn", [smith, content])
+def test_a_pivot_below_its_predecessor_is_an_invariant_error(fn):
+    # least-valuation pivots never fall; a kernel whose pivot valuations
+    # do must not yield divisors: here valfn reads 1 on the input entries
+    # 2 and 4 and 0 on the 2 x 2 minor 8, so v(d_1) = 1 and v(d_2) = 0
+    k2 = p_adic_q(2)
+    pres = PresentationMatrix.from_rows(k2, [[2, 0], [0, 4]])
+    work, _, shift, d = pres._kernel
+    pres._kernel = work, lambda n: 1 if n < 8 else 0, shift, d
+    with pytest.raises(InvariantError, match="left the valuation ring"):
+        fn(pres)
+
+
+def test_det_val_and_index_read_nvars_as_an_int():
+    k2 = p_adic_q(2)
+    assert det_val([[2]], k2, 1.0, (1,)) == Val(1)
+    assert semilattice_index([[2]], [[1]], k2, 1.0, (1,)) == Val(1)
+    for bad in (2.5, Fraction(1, 2)):
+        with pytest.raises(DomainError, match="number of variables"):
+            det_val([[1]], k2, bad, (1,))
+        with pytest.raises(DomainError, match="number of variables"):
+            semilattice_index([[1]], [[1]], k2, bad, (1,))
+
+
+def test_elementary_divisors_read_free_rank_as_an_int():
+    for bad in (1.5, Fraction(1, 2)):
+        with pytest.raises(DomainError, match="free rank"):
+            ElementaryDivisors((), bad)
+    assert type(ElementaryDivisors((), 1.0).free_rank) is int
+    assert ElementaryDivisors((Val(1),), "1").rank == 2
+    with pytest.raises(DomainError, match="free rank must be >= 0"):
+        ElementaryDivisors((), -1)
+
+
+def test_entries_of_another_model_are_refused():
+    k2 = p_adic_q(2)
+    for other in (p_adic_q(3).elem(1), pi_adic_q().elem(1), LaurentPoly.constant(p_adic_q(3), 0, 1)):
+        with pytest.raises(DomainError, match="different base field"):
+            PresentationMatrix.from_rows(k2, [[other]])
+        with pytest.raises(DomainError, match="different base field"):
+            det_val([[other]], k2)
+    # an equal model that is another object is the same field
+    assert content(PresentationMatrix.from_rows(k2, [[p_adic_q(2).elem(4)]])) == Val(2)
+    assert det_val([[p_adic_q(2).elem(4)]], k2) == Val(2)
+    with pytest.raises(DomainError, match="cannot use"):
+        PresentationMatrix.from_rows(k2, [[1.5]])
+
+
 @pytest.mark.parametrize("p", [0, 2, 3])
 def test_smith_matches_the_sympy_polynomial_oracle(p):
     # independent oracle: over Q[x] (p = 0) or F_p[x] sympy computes the
