@@ -8,24 +8,24 @@ over slots of the wedge of dt_i/t_i for i in the subset.
 At a monomial point presented by a chart t_i = g_i(s) with Gauss radii
 rho, the logarithmic basis of the s-coordinates is orthonormal, so the
 norm of a pulled-back form is the minimum of the Gauss valuations of its
-coefficients.  The Gauss valuation is multiplicative, so that minimum is
-read from the levels and initial parts of the substitutions and of the
-Jacobian minors; the pulled-back coefficients are expanded in full only
-when those initial parts cancel.  Both pullback and the norm read the
-nonzero minors of the logarithmic Jacobian from one table (_minor_table),
-and the full expansion (_expand) reuses the table the norm built.  The
-value is the geometric Kahler seminorm whenever the chart is residually
-tame; otherwise it is reported as the chart-basis value together with
-the certificate.
+coefficients.  Both pullback and the norm expand those coefficients
+(_expand) from one table of the nonzero minors of the logarithmic
+Jacobian (_minor_table).  The norm expands them capped: the Gauss
+valuation is multiplicative, so at a level margin M only terms that can
+reach below the least summand level plus M are kept, and M doubles until
+one is kept or nothing was cut.  The value is the geometric Kahler
+seminorm whenever the chart is residually tame; otherwise it is reported
+as the chart-basis value together with the certificate.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, product
+from math import inf, prod
 from operator import mul
 
 from .errors import DomainError
@@ -69,13 +69,18 @@ class MonomialChart:
             if g.is_zero:
                 raise DomainError("chart substitutions must be nonzero")
         self.substitutions = subs
-        self.rho = tuple(Fraction(r) for r in rho)
+        try:
+            self.rho = tuple(Fraction(r) for r in rho)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"radii {rho!r} are not a vector of rational numbers") from exc
         if len(self.rho) != self.n:
             raise DomainError("one radius per variable is required")
 
     @classmethod
     def identity(cls, model, n, rho) -> "MonomialChart":
         n = _as_int(n, "dimension")
+        if n < 0:
+            raise DomainError("dimension must be nonnegative")
         subs = [LaurentPoly.variable(model, n, i) for i in range(1, n + 1)]
         return cls(model, subs, rho)
 
@@ -165,7 +170,15 @@ def pullback(phi: Pluriform, chart: MonomialChart) -> PullbackResult:
     pullback along a composition agrees with composed pullbacks."""
     if phi.model != chart.model or phi.n != chart.n:
         raise DomainError("form and chart live on different tori")
-    return _expand(phi, chart, _minor_table(chart, {s for e in phi.coeffs for s in e}, phi.l))
+    model, n = phi.model, phi.n
+    out, den, _ = _expand(phi, chart, _minor_table(chart, {s for e in phi.coeffs for s in e}, phi.l))
+    denominator = prod([g ** k for g, k in zip(chart.substitutions, den) if k], start=LaurentPoly.one(model, n))
+    if len(denominator.terms) == 1:
+        (exps, coeff), = denominator.terms.items()
+        shift, inv = tuple(-x for x in exps), model.one() / coeff
+        out = {e: c.shift(shift).scale(inv) for e, c in out.items()}
+        denominator = LaurentPoly.one(model, n)
+    return PullbackResult(Pluriform(model, n, phi.l, phi.m, out), denominator)
 
 
 def _slot_counts(e, n) -> list:
@@ -192,62 +205,106 @@ def _minor_table(chart: MonomialChart, sources, l) -> dict:
     return table
 
 
-def _expand(phi: Pluriform, chart: MonomialChart, table) -> PullbackResult:
-    """The pullback of phi, given the minor table of its source subsets.
-    Over the common denominator prod g_i^(d_i + max_e w_e,i), with d_i the
-    largest power of 1/t_i in the coefficients of phi, the coefficient at
-    a chart index is the sum, over basis indices e of phi and choices of
-    one nonzero minor per slot, of
-    phi_e(g) * prod g_i^(d_i + max_e w_e,i - w_e,i) * prod(minors)."""
+def _expand(phi: Pluriform, chart: MonomialChart, table, margin=None, radii=None) -> tuple:
+    """The pullback of phi, given the minor table of its source subsets, as
+    (numerators, den, cap): the coefficients over the common denominator
+    prod g_i^den_i, den_i = d_i + max_e w_e,i with d_i the largest power of
+    1/t_i in the coefficients of phi.  The coefficient at a chart index
+    sums a * prod g_i^(I_i - w_e,i) * prod(minors) over the basis indices
+    e of phi, the terms a*t^I of phi_e (added up before the products they
+    share) and the choices of one nonzero minor per slot.
+
+    At a margin M, levels are ints over the radii (d, steps) from _radii, and
+    each factor has a bound: its level for a product (the graded ring is a
+    domain), a lower bound for a sum.  With L the least summand bound and
+    cap N = L + M, summands of bound >= N are skipped, and each factor and
+    partial product of bound b keeps only its terms below b + M, so the
+    coefficients are exact below N (relative to the denominator).  An
+    index where a single summand sits at L has level L, since every other
+    summand there lies above it: then no product is built and (None, None,
+    L) is returned.  The cap is None when nothing was cut or skipped, as
+    without a margin."""
     model, n = phi.model, phi.n
-    slots = {e: _slot_counts(e, n) for e in phi.coeffs}
-    w_max = [max(w) for w in zip([0] * n, *slots.values())]
-    low, high = [0] * n, [0] * n
-    for coeff in phi.coeffs.values():
-        for exps in coeff.terms:
-            low = list(map(min, low, exps))
-            high = list(map(max, high, exps))
-    d_sub = [-x for x in low]
-    powers = []
-    for i, g in enumerate(chart.substitutions):
-        pw = [LaurentPoly.one(model, n)]
-        for _ in range(d_sub[i] + max(w_max[i], high[i])):
-            pw.append(pw[-1] * g)
-        powers.append(pw)
+    # without a margin d = 0 reads every level as 0: nothing is cut or skipped
+    d, steps = (0, [0] * n) if margin is None else radii
+    g_level = [_level(g, d, steps) for g in chart.substitutions]
+    rows = {source: [(target, minor, _level(minor, d, steps)) for target, minor in row]
+            for source, row in table.items()}
+    slots, plan = [], []
+    for e, coeff in phi.coeffs.items():
+        w_e = _slot_counts(e, n)
+        slots.append(w_e)
+        choices = [(sum([c[2] for c in choice]), choice) for choice in product(*(rows[s] for s in e))]
+        if choices:
+            shift = sum(map(mul, w_e, g_level))
+            terms = [(a._int_val() * d + sum(map(mul, exps, g_level)) - shift, exps, a)
+                     for exps, a in coeff.terms.items()]
+            plan.append((w_e, terms, min([c[0] for c in choices]), choices))
+    cap = inf
+    if margin is not None and plan:
+        least = min([min([t[0] for t in terms]) + first for _, terms, first, _ in plan])
+        cap = least + margin
+        at_least = Counter(tuple([c[0] for c in choice]) for _, terms, _, choices in plan
+                           for bound, choice in choices for t in terms if t[0] + bound == least)
+        if 1 in at_least.values():
+            return None, None, least
+    w_max = [max(w) for w in zip([0] * n, *slots)]
+    low = [min(x) for x in zip([0] * n, *(exps for c in phi.coeffs.values() for exps in c.terms))]
+    exact = True
+
+    def cut(f, bound):
+        """f without its terms at or above bound + margin; one term is kept."""
+        nonlocal exact
+        if margin is None or len(f.terms) < 2:
+            return f
+        kept = {x: c for x, c in f.terms.items() if c._int_val() * d + sum(map(mul, x, steps)) < bound + margin}
+        if len(kept) == len(f.terms):
+            return f
+        exact = False
+        return LaurentPoly._of(model, n, kept)
+
+    def times(f, g, bound):
+        """f * g, cut at its bound: a product with one term needs no cut."""
+        return f * g if len(f.terms) < 2 or len(g.terms) < 2 else cut(f * g, bound)
+
+    g_cut = [cut(g, level) for g, level in zip(chart.substitutions, g_level)]
+    powers = {}
+
+    def power(i, k):
+        """g_i^k, cut at its level."""
+        if (i, k) not in powers:
+            powers[i, k] = cut(g_cut[i] ** k, k * g_level[i])
+        return powers[i, k]
 
     out = {}
-    for e, coeff in phi.coeffs.items():
-        numerator = LaurentPoly.zero(model, n)
-        for exps, a in coeff.terms.items():
-            term = LaurentPoly.constant(model, n, a)
-            for i, ex in enumerate(exps):
-                term = term * powers[i][ex + d_sub[i]]
-            numerator = numerator + term
-        if numerator.is_zero:
+    for w_e, terms, first, choices in plan:
+        kept = [t for t in terms if t[0] + first < cap]
+        exact = exact and len(kept) == len(terms)
+        if not kept:
             continue
-        fill = LaurentPoly.one(model, n)
-        for i, w in enumerate(slots[e]):
-            if w_max[i] > w:
-                fill = fill * powers[i][w_max[i] - w]
-        base = numerator * fill
-        for choice in product(*(table[subset] for subset in e)):
-            det_prod = base
-            for _, d in choice:
-                det_prod = det_prod * d
-            _add_term(out, tuple(target for target, _ in choice), det_prod)
-
-    denominator = LaurentPoly.one(model, n)
-    for i in range(n):
-        if d_sub[i] + w_max[i]:
-            denominator = denominator * powers[i][d_sub[i] + w_max[i]]
-
-    if len(denominator.terms) == 1:
-        (exps, coeff), = denominator.terms.items()
-        inv_shift = tuple(-x for x in exps)
-        inv_coeff = model.one() / coeff
-        out = {e: c.shift(inv_shift).scale(inv_coeff) for e, c in out.items()}
-        denominator = LaurentPoly.one(model, n)
-    return PullbackResult(Pluriform(model, n, phi.l, phi.m, out), denominator)
+        numerator, bound = LaurentPoly.zero(model, n), inf
+        for _, exps, a in kept:
+            term, b = LaurentPoly.constant(model, n, a), a._int_val() * d
+            for i, x in enumerate(exps):
+                if x > low[i]:
+                    b += (x - low[i]) * g_level[i]
+                    term = times(term, power(i, x - low[i]), b)
+            numerator, bound = numerator + term, min(bound, b)
+        for i, (w_m, w) in enumerate(zip(w_max, w_e)):
+            if w_m > w:
+                bound += (w_m - w) * g_level[i]
+                numerator = times(numerator, power(i, w_m - w), bound)
+        least = min(t[0] for t in kept)
+        for level, choice in choices:
+            if least + level >= cap:
+                exact = False
+                continue
+            det_prod, b = numerator, bound
+            for _, minor, minor_level in choice:
+                b += minor_level
+                det_prod = times(det_prod, minor, b)
+            _add_term(out, tuple(c[0] for c in choice), det_prod)
+    return out, [w - x for x, w in zip(low, w_max)], None if exact else cap
 
 
 def kahler_norm_at(phi: Pluriform, chart: MonomialChart) -> Val:
@@ -259,91 +316,28 @@ def kahler_norm_at(phi: Pluriform, chart: MonomialChart) -> Val:
     a * prod g_i^(I_i - w_e,i) * prod(minors of the logarithmic Jacobian),
     one for each basis index e of phi, term a*t^I of its coefficient and
     choice of nonzero minors (w_e,i counts the slots of e holding i).  The
-    minors come from the same table pullback expands.  The Gauss valuation
-    is multiplicative, so each summand has an exact level
-    val(a) + sum k_i v(g_i) + sum v(minor), an int over the radii's common
-    denominator, and the least level L over all chart indices bounds the
-    norm from below.  The norm is L unless, at every index attaining L,
-    the initial parts of the summands at level L cancel: products of the
-    terms at minimal level of the g_i and of the minors, shifted by powers
-    of the initial parts of the g_i to clear negative exponents (the
-    graded ring is a domain, so neither the products nor the shift can
-    vanish).  A single summand at level L needs no product at all.  Only
-    when every such sum cancels is phi pulled back in full, from that
-    table, to read the norm."""
+    Gauss valuation is multiplicative, so each summand has an exact level,
+    and the least, L, bounds the norm from below.  _expand at the margins
+    M = 1, 2, 4, ... is exact below L + M, so the first margin with a term
+    below L + M gives the norm.  Margin 1 keeps the initial parts, and
+    reads L with no product where one summand sits alone at L at an index.
+    A margin that cut and skipped nothing is the full pullback, where the
+    ladder ends, at INF if it is empty.  One minor table serves every
+    margin."""
     if phi.model != chart.model or phi.n != chart.n:
         raise DomainError("form and chart live on different tori")
-    n = phi.n
-    d, steps = _radii(chart.rho, n)
-    initial = [_initial(g, d, steps) for g in chart.substitutions]
-    g_level = [level for level, _ in initial]
-    g_init = [init for _, init in initial]
+    radii = d, steps = _radii(chart.rho, phi.n)
     table = _minor_table(chart, {s for e in phi.coeffs for s in e}, phi.l)
-    # (target, level, initial part) of each nonzero minor, by source subset
-    minors = {source: [(target,) + _initial(minor, d, steps) for target, minor in row]
-              for source, row in table.items()}
-
-    low, attaining = None, {}
-    for e, coeff in phi.coeffs.items():
-        w_e = _slot_counts(e, n)
-        terms = []
-        for exps, a in coeff.terms.items():
-            k = [x - w for x, w in zip(exps, w_e)]
-            terms.append((a._int_val() * d + sum(map(mul, k, g_level)), k, a))
-        base = min(level for level, _, _ in terms)
-        lowest = [(k, a) for level, k, a in terms if level == base]
-        for choice in product(*(minors[subset] for subset in e)):
-            level = base + sum(c[1] for c in choice)
-            if low is None or level < low:
-                low, attaining = level, {}
-            if level == low:
-                combo = tuple(c[0] for c in choice)
-                attaining.setdefault(combo, []).append((lowest, [c[2] for c in choice]))
-    if low is None:
-        return INF
-    for summands in attaining.values():
-        if ((len(summands) == 1 and len(summands[0][0]) == 1)
-                or _initial_sum_survives(summands, g_level, g_init, low, d, steps)):
-            return Val(Fraction(low, d))
-
-    pulled = _expand(phi, chart, table)
-    if pulled.form.is_zero:
-        return INF
-    low = min(_level(c, d, steps) for c in pulled.form.coeffs.values())
-    return Val(Fraction(low - _level(pulled.denominator, d, steps), d))
-
-
-def _initial(f: LaurentPoly, d, steps) -> tuple:
-    """The level _level(f, d, steps) of a nonzero f, and its initial part:
-    the terms of f at that level."""
-    levels = {exps: c._int_val() * d + sum(map(mul, exps, steps)) for exps, c in f.terms.items()}
-    low = min(levels.values())
-    return low, LaurentPoly._of(f.model, f.n, {
-        exps: f.terms[exps] for exps, level in levels.items() if level == low})
-
-
-def _initial_sum_survives(summands, g_level, g_init, low, d, steps) -> bool:
-    """Whether the level-`low` initial parts of the summands of one chart
-    index add up to a nonzero initial form.  Each summand is a * prod
-    in(g_i)^(k_i + s_i) * prod in(minor); the shift s_i clears the negative
-    powers of the multi-term in(g_i) and raises every product by the same
-    sum s_i v(g_i)."""
-    shift = [0] * len(g_init)
-    for lowest, _ in summands:
-        for k, _ in lowest:
-            for i, (x, g) in enumerate(zip(k, g_init)):
-                if len(g.terms) > 1:
-                    shift[i] = max(shift[i], -x)
-    total = None
-    for lowest, inits in summands:
-        tail = reduce(mul, inits)
-        for k, a in lowest:
-            f = tail.scale(a)
-            for x, s, g in zip(k, shift, g_init):
-                if x + s:
-                    f = f * g ** (x + s)
-            total = f if total is None else total + f
-    return not total.is_zero and _initial(total, d, steps)[0] == low + sum(map(mul, shift, g_level))
+    margin = 1
+    while True:
+        out, den, cap = _expand(phi, chart, table, margin, radii)
+        if out is None:
+            return Val(Fraction(cap, d))
+        low = min((_level(f, d, steps) for f in out.values()), default=inf) - sum(
+            k * _level(g, d, steps) for g, k in zip(chart.substitutions, den))
+        if cap is None or low < cap:
+            return INF if low == inf else Val(Fraction(low, d))
+        margin *= 2
 
 
 def tame_certificate(chart: MonomialChart) -> TameStatus:

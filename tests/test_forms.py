@@ -212,6 +212,23 @@ def test_singular_non_monomial_chart_is_refused():
     assert tame_certificate(MonomialChart(kf, [f1 + f2, f1 + f2], (1, 1))) == TameStatus.UNKNOWN
 
 
+def test_chart_refuses_a_negative_dimension_and_radii_that_are_not_rational():
+    """As LaurentPoly and Pluriform refuse a negative dimension, so does
+    MonomialChart.identity; radii that Fraction cannot read are a
+    DomainError with a message, not a ValueError, OverflowError or
+    TypeError."""
+    k = pi_adic_q()
+    with pytest.raises(DomainError, match="dimension must be nonnegative"):
+        MonomialChart.identity(k, -1, ())
+    for rho in (["x"], [float("inf")], [float("nan")], 1, [None]):
+        with pytest.raises(DomainError, match="not a vector of rational numbers"):
+            MonomialChart.identity(k, 1, rho)
+        with pytest.raises(DomainError, match="not a vector of rational numbers"):
+            MonomialChart(k, [1 + LaurentPoly.variable(k, 1, 1)], rho)
+    assert MonomialChart.identity(k, 0, ()).n == 0
+    assert MonomialChart.identity(k, 1, ["1/2"]).rho == (Fraction(1, 2),)
+
+
 def test_determinant_criterion_matches_norm():
     rng = random.Random(17)
     k3 = p_adic_q(3)
@@ -328,8 +345,8 @@ def test_differential_submultiplicative():
 
 
 def _kahler_norm_by_pullback(phi, chart):
-    """kahler_norm_at as it was before initial forms: the whole pullback,
-    then the least Gauss value of its coefficients over the denominator's."""
+    """The norm by its definition: the whole pullback, then the least Gauss
+    value of its coefficients over the denominator's."""
     pulled = pullback(phi, chart)
     return INF if pulled.form.is_zero else kahler_norm_at_pair(pulled, chart.rho)
 
@@ -408,22 +425,91 @@ def test_top_degree_norms_fall_under_retraction(case):
     assert _kahler_norm_by_pullback(phi, chart) >= bound
 
 
-def test_kahler_norm_when_initial_forms_cancel(monkeypatch):
-    """t1 - 1 on the chart t1 = 1 + s1 at radius 1: both summands t1 and -1
-    sit at level 0 and their initial parts 1 and -1 cancel, so the norm is
-    v(s1) = 1, read from the full pullback."""
+def _margins(monkeypatch):
+    """The margins of the _expand calls that follow, in order: (M,) at a
+    margin M, () for a full expansion."""
     import nonarch.forms as forms
 
+    margins, expand = [], forms._expand
+    monkeypatch.setattr(forms, "_expand", lambda *args: margins.append(args[3:4]) or expand(*args))
+    return margins
+
+
+def test_kahler_norm_when_initial_forms_cancel(monkeypatch):
+    """t1 - 1 on the chart t1 = 1 + s1 at radius 1: both summands t1 and -1
+    sit at level 0 and their initial parts 1 and -1 cancel at margin 1, so
+    the norm v(s1) = 1 is read at margin 2."""
     k = pi_adic_q()
     s = LaurentPoly.variable(k, 1, 1)
     t = LaurentPoly.variable(k, 1, 1)
     chart = MonomialChart(k, [1 + s], rho=(1,))
     phi = Pluriform(k, 1, 0, 1, {((),): t - 1})
-    calls, expand = [], forms._expand
-    monkeypatch.setattr(forms, "_expand", lambda *args: calls.append(args) or expand(*args))
+    margins = _margins(monkeypatch)
     assert kahler_norm_at(phi, chart) == Val(1)
-    assert len(calls) == 1
+    assert margins == [(1,), (2,)]
     assert _kahler_norm_by_pullback(phi, chart) == Val(1)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["t1-1", "1/t1-1"])
+def test_kahler_norm_read_on_the_third_rung(monkeypatch, inverse):
+    """On the chart t1 = 1 + pi^3*s1 at rho = (0,), t1 - 1 and 1/t1 - 1 pull
+    back to pi^3*s1 and -pi^3*s1 over 1 + pi^3*s1: norm 3.  The margins 1
+    and 2 keep only the initial part 1 of the substitution, whose sum
+    cancels; margin 4 reads the norm."""
+    k = pi_adic_q()
+    t = LaurentPoly.variable(k, 1, 1)
+    chart = MonomialChart(k, [1 + LaurentPoly.variable(k, 1, 1).scale(k.uniformizer() ** 3)], rho=(0,))
+    phi = Pluriform(k, 1, 0, 1, {((),): t ** -1 - 1 if inverse else t - 1})
+    margins = _margins(monkeypatch)
+    assert kahler_norm_at(phi, chart) == Val(3)
+    assert margins == [(1,), (2,), (4,)]
+    assert _kahler_norm_by_pullback(phi, chart) == Val(3)
+
+
+def test_kahler_norm_of_a_vanishing_pullback_is_read_on_the_last_rung(monkeypatch):
+    """t1 - t2 on the chart t1 = t2 = 1 + s1 + s2 at rho = (1, 2) pulls back
+    to 0.  Margins 1 and 2 cut the substitution; margin 4 cuts nothing, so
+    its empty expansion is complete and the norm is INF."""
+    k = pi_adic_q()
+    t1, t2 = (LaurentPoly.variable(k, 2, i) for i in (1, 2))
+    g = 1 + LaurentPoly.variable(k, 2, 1) + LaurentPoly.variable(k, 2, 2)
+    phi = Pluriform(k, 2, 0, 1, {((),): t1 - t2})
+    chart = MonomialChart(k, [g, g], rho=(1, 2))
+    margins = _margins(monkeypatch)
+    assert kahler_norm_at(phi, chart) == INF
+    assert margins == [(1,), (2,), (4,)]
+    assert pullback(phi, chart).form.is_zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(_form_and_chart(), st.integers(1, 9))
+def test_capped_expansion_is_exact_below_its_cap(case, margin):
+    """At a margin, every coefficient of the capped expansion matches the
+    full one below the cap, relative to the denominator: their difference
+    has no term there (a term's coefficient in Q_p or Q(pi) may differ
+    above it, as 2 against 2 + pi).  With no cap the two are equal.  Where
+    one summand sits alone at the least level L, the expansion reads L,
+    and that is the norm."""
+    import nonarch.forms as forms
+    from nonarch.laurent import _level, _radii
+
+    phi, chart = case
+    table = forms._minor_table(chart, {s for e in phi.coeffs for s in e}, phi.l)
+    d, steps = _radii(chart.rho, phi.n)
+    out, den, cap = forms._expand(phi, chart, table, margin, (d, steps))
+    full, full_den, _ = forms._expand(phi, chart, table)
+    if out is None:
+        assert kahler_norm_at(phi, chart) == Val(Fraction(cap, d))
+        return
+    assert den == full_den
+    shift = sum(k * _level(g, d, steps) for g, k in zip(chart.substitutions, den))
+    zero = LaurentPoly.zero(phi.model, phi.n)
+    for index in set(out) | set(full):
+        diff = out.get(index, zero) - full.get(index, zero)
+        if cap is None:
+            assert diff.is_zero
+        elif not diff.is_zero:
+            assert _level(diff, d, steps) - shift >= cap
 
 
 @pytest.mark.parametrize("model", [pi_adic_q(), p_adic_q(2)], ids=["Q(pi)", "Q_2"])
@@ -455,9 +541,11 @@ def test_kahler_norm_read_at_an_index_off_the_least_level(monkeypatch, model):
 def test_kahler_norm_without_cancellation_skips_the_pullback(monkeypatch):
     """Identity charts, and forms with one basis index on monomial charts
     with a nonsingular exponent matrix, have summands that are distinct
-    monomials, so their initial parts never cancel."""
-    import nonarch.forms as forms
-
+    monomials, so their initial parts never cancel: every norm is read at
+    margin 1.  The expansion builds no Laurent product exactly where a
+    single summand sits at the least level at its chart index (a term of
+    the pullback alone there) or where every minor vanishes (a wild chart
+    over F_p(pi)); the rest hold ties at that level."""
     rng = random.Random(23)
     cases = []
     for model in _MODELS:
@@ -480,8 +568,27 @@ def test_kahler_norm_without_cancellation_skips_the_pullback(monkeypatch):
                 cases.append((Pluriform(model, n, l, 2, {e: coeff}), MonomialChart(model, subs, rho)))
     wants = [_kahler_norm_by_pullback(phi, chart) for phi, chart in cases]
 
-    def refuse(*args):
-        raise AssertionError("the full pullback was expanded")
+    def alone_at_the_least_level(phi, chart):
+        levels = {e: [gauss_val(LaurentPoly.monomial(phi.model, phi.n, x, c), chart.rho)
+                      for x, c in f.terms.items()]
+                  for e, f in pullback(phi, chart).form.coeffs.items()}
+        least = min((v for vs in levels.values() for v in vs), default=INF)
+        return any(vs.count(least) == 1 for vs in levels.values())
 
-    monkeypatch.setattr(forms, "_expand", refuse)
-    assert [kahler_norm_at(phi, chart) for phi, chart in cases] == wants
+    alone = [alone_at_the_least_level(phi, chart) for phi, chart in cases]
+    margins, products, mul = _margins(monkeypatch), [], LaurentPoly.__mul__
+
+    def counted_mul(f, g):
+        # the minor table is built before the first expansion
+        if margins:
+            products.append((f, g))
+        return mul(f, g)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
+    for (phi, chart), want, single in zip(cases, wants, alone):
+        margins.clear()
+        products.clear()
+        assert kahler_norm_at(phi, chart) == want
+        assert margins == [(1,)]
+        assert (products == []) == (single or want == INF)
+    assert sum(alone) >= len(cases) // 3
