@@ -223,6 +223,8 @@ def _gauss_radii(doc: dict, point) -> tuple:
     """(nvars, radii): the Gauss radii --point gives to matrix entries with
     nvars auxiliary variables."""
     nvars = int(doc.get("nvars", 0))
+    if nvars < 0:
+        raise DomainError("number of variables must be nonnegative")
     if not nvars:
         return 0, ()
     if point is None:

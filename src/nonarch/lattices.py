@@ -10,8 +10,8 @@ divisor is the difference v(d_k) - v(d_(k-1)) of two successive pivots.
 So the content of a torsion module, the sum of its divisors, is v(d_r),
 the last pivot's valuation (r the number of rows), and content builds no
 divisors.  The kernel keeps no valuations: each step's pivot search reads
-those of the live entries once, and gives smith and content the pivot
-valuations.
+those of the live entries once.  PresentationMatrix runs it once and keeps
+only the pivot valuations; det_val reads v(d_n) from the same pass.
 
 Matrix entries may be plain base-field elements or Laurent polynomials in
 auxiliary variables carrying fixed Gauss radii; in the latter case entry
@@ -71,27 +71,38 @@ def _coerce_entry(value, model: BaseFieldModel, nvars: int):
     raise DomainError(f"cannot use {type(value).__name__} as a matrix entry")
 
 
+def _coerce_rows(entries, model: BaseFieldModel, nvars, rho):
+    """(nvars, rho, rows): the checked input of PresentationMatrix and
+    det_val, rows as lists of coerced entries the kernel may overwrite."""
+    nvars = _as_int(nvars, "number of variables")
+    if nvars < 0:
+        raise DomainError("number of variables must be nonnegative")
+    rho = tuple(Fraction(r) for r in rho)
+    if len(rho) != nvars:
+        raise DomainError("one Gauss radius per auxiliary variable is required")
+    return nvars, rho, [[_coerce_entry(e, model, nvars) for e in row] for row in entries]
+
+
 class PresentationMatrix:
     """An m x l matrix over the valuation ring K°, presenting the module
-    K°^m / (column span).  Construction builds the kernel's rows once and
-    checks that no entry has negative valuation: field entries are in
-    lowest terms, so a row scaling of positive valuation shows one."""
+    K°^m / (column span).  Construction runs the kernel once and keeps its
+    pivot valuations.  An entry outside K° shows as a row scaling of positive
+    valuation (field entries are in lowest terms) or a negative first pivot."""
 
     def __init__(self, model: BaseFieldModel, entries, nvars: int = 0, rho=()):
         self.model = model
-        self.nvars = _as_int(nvars, "number of variables")
-        self.rho = tuple(Fraction(r) for r in rho)
-        if len(self.rho) != self.nvars:
-            raise DomainError("one Gauss radius per auxiliary variable is required")
-        rows = [tuple(_coerce_entry(e, model, self.nvars) for e in row) for row in entries]
+        self.nvars, self.rho, rows = _coerce_rows(entries, model, nvars, rho)
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         if any(len(r) != self.cols for r in rows):
             raise DomainError("ragged matrix")
-        work, valfn, shift, _ = self._kernel = _kernel_rows(rows, model, self.rho)
-        if shift or self.rho and any(e and valfn(e) < 0 for r in work for e in r):
+        self.entries = tuple(map(tuple, rows))
+        work, valfn, shift, self._d = _kernel_rows(rows, model, self.rho)
+        self._vals = vals = _bareiss(work, valfn)[2]
+        if shift or vals and vals[0] < 0:
             raise DomainError("presentation entries must lie in the valuation ring (valuation >= 0)")
-        self.entries = tuple(rows)
+        if any(v < last for v, last in zip(vals[1:], vals)):
+            raise InvariantError("Smith pivot left the valuation ring")
 
     @classmethod
     def from_rows(cls, model, entries) -> "PresentationMatrix":
@@ -204,9 +215,9 @@ def _quotient(f, g):
 
 
 def _kernel_rows(rows, model: BaseFieldModel, rho):
-    """(work, valfn, shift, d): the kernel's rows of coerced entries, to be
-    copied before elimination, and as ints over d the valuation of a nonzero
-    entry and the one the row scaling adds to every n x n minor.
+    """(work, valfn, shift, d): the kernel's rows (those of rows where no
+    scale applies), and as ints over d the valuation of a nonzero entry and
+    the one the row scaling adds to every n x n minor.
 
     Rows over trivial_q and p_adic_q become ints, each scaled by the lcm
     of its denominators.  Over the pi-adic models each row is scaled by
@@ -268,25 +279,12 @@ def _det(rows):
     return work[r][c] if sign > 0 else -work[r][c]
 
 
-def _pivot_vals(presentation: PresentationMatrix):
-    """(vals, d): the kernel's pivot valuations v(d_k), as its pivot search
-    reads them (pivots of least valuation, ties broken by row-major
-    position), ints over d; an InvariantError when one falls below its
-    predecessor (a negative elementary divisor)."""
-    work, valfn, _, d = presentation._kernel
-    vals = _bareiss([list(r) for r in work], valfn)[2]
-    if any(v < last for v, last in zip(vals, [0, *vals])):
-        raise InvariantError("Smith pivot left the valuation ring")
-    return vals, d
-
-
 def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
     """Elementary divisors of the presented module: the differences of the
-    kernel's successive pivot valuations, ascending (a negative one is an
-    InvariantError)."""
-    vals, d = _pivot_vals(presentation)
+    kernel's successive pivot valuations, ascending."""
+    vals = presentation._vals
     divisors = sorted(v - last for v, last in zip(vals, [0, *vals]))
-    return ElementaryDivisors(tuple(Fraction(v, d) for v in divisors),
+    return ElementaryDivisors(tuple(Fraction(v, presentation._d) for v in divisors),
                               presentation.rows - len(vals))
 
 
@@ -295,29 +293,25 @@ def content(presentation: PresentationMatrix) -> Val:
     the elementary divisors, which telescopes to v(d_r), the valuation of
     the last pivot (r the number of rows; 0 for no rows); INF otherwise (a
     free direction survives)."""
-    vals, d = _pivot_vals(presentation)
+    vals = presentation._vals
     if len(vals) < presentation.rows:
         return INF
-    return Val(Fraction(vals[-1], d)) if vals else _ZERO
+    return Val(Fraction(vals[-1], presentation._d)) if vals else _ZERO
 
 
 def det_val(entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:
-    """Valuation of the determinant of a square matrix over the field, by
-    the kernel's exact determinant less the row scaling's valuation; INF
-    for a singular matrix."""
-    nvars = _as_int(nvars, "number of variables")
-    rho = tuple(Fraction(r) for r in rho)
-    if len(rho) != nvars:
-        raise DomainError("one Gauss radius per auxiliary variable is required")
-    rows = [[_coerce_entry(e, model, nvars) for e in row] for row in entries]
+    """Valuation of the determinant of a square matrix over the field: the
+    last pivot's v(d_n) from the kernel's pass, less the row scaling's
+    valuation; INF for a singular matrix (fewer than n pivots)."""
+    nvars, rho, rows = _coerce_rows(entries, model, nvars, rho)
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise DomainError("determinant requires a square matrix")
-    if not size:
-        return _ZERO
     work, valfn, shift, d = _kernel_rows(rows, model, rho)
-    det = _det(work)
-    return Val(Fraction(valfn(det) - shift, d)) if det else INF
+    vals = _bareiss(work, valfn)[2]
+    if len(vals) < size:
+        return INF
+    return Val(Fraction(vals[-1] - shift, d)) if vals else _ZERO
 
 
 def semilattice_index(m_entries, l_entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:
@@ -341,12 +335,7 @@ def adic_norm(divisors: ElementaryDivisors, coords, model: BaseFieldModel) -> Va
             f"expected {divisors.rank} coordinates (free part first), got {len(coords)}"
         )
     best = INF
-    for x in coords[: divisors.free_rank]:
-        v = x.val()
-        if v < _ZERO:
-            raise DomainError("coordinates must lie in the valuation ring")
-        best = min(best, v)
-    for x, d in zip(coords[divisors.free_rank:], divisors.divisors):
+    for x, d in zip(coords, (INF,) * divisors.free_rank + divisors.divisors):
         v = x.val()
         if v < _ZERO:
             raise DomainError("coordinates must lie in the valuation ring")

@@ -353,6 +353,9 @@ def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys, coeff, column):
 ESCAPES = [
     (["smith", "--field", "padic:2", "--matrix", "{empty}"], "missing key 'entries'"),
     (["smith", "--field", "padic:2", "--matrix", "{nvars_x}"], "key 'nvars' must be an integer"),
+    (["smith", "--field", "padic:2", "--matrix", "{nvars_neg}"], "number of variables must be nonnegative"),
+    (["content", "--point", "1", "--matrix", "{nvars_neg}"], "number of variables must be nonnegative"),
+    (["index", "--point", "", "--matrix", "{index_nvars_neg}"], "number of variables must be nonnegative"),
     (["max-locus", "--semistable", "a,1", "--form", "{form}"], "--semistable wants an integer"),
     (["eval-norm", "--n", "1", "--point", "1", "--form", "{a_list}"], "must be a JSON object"),
     (["smith", "--matrix", "{a_list}"], "must be a JSON object"),
@@ -373,6 +376,8 @@ def test_malformed_documents_keep_the_exit_contract(tmp_path, capsys, argv, phra
     files = {
         "empty": {},
         "nvars_x": {"nvars": "x", "entries": [["1"]]},
+        "nvars_neg": {"nvars": -1, "entries": [["1"]]},
+        "index_nvars_neg": {"nvars": -1, "M": [["1"]], "L": [["1"]]},
         "a_list": [],
         "no_constraints": {"n": 1},
         "form": {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "t1 + 1"}]},

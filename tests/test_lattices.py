@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lattice_oracle
+from nonarch import lattices
 from nonarch.errors import DomainError, InvariantError
 from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
-from nonarch.laurent import LaurentPoly, _exact_quotient, gauss_val
+from nonarch.laurent import LaurentPoly, _exact_quotient, _level, _radii, gauss_val
 from nonarch.lattices import (
     ElementaryDivisors,
     PresentationMatrix,
+    _bareiss,
     _det,
     _kernel_rows,
     adic_norm,
@@ -591,17 +593,44 @@ def test_content_is_the_last_pivot_and_the_divisor_sum(case):
     assert got == (INF if expected.free_rank else vsum(expected.divisors))
 
 
-@pytest.mark.parametrize("fn", [smith, content])
-def test_a_pivot_below_its_predecessor_is_an_invariant_error(fn):
+def test_a_pivot_below_its_predecessor_is_an_invariant_error(monkeypatch):
     # least-valuation pivots never fall; a kernel whose pivot valuations
-    # do must not yield divisors: here valfn reads 1 on the input entries
-    # 2 and 4 and 0 on the 2 x 2 minor 8, so v(d_1) = 1 and v(d_2) = 0
-    k2 = p_adic_q(2)
-    pres = PresentationMatrix.from_rows(k2, [[2, 0], [0, 4]])
-    work, _, shift, d = pres._kernel
-    pres._kernel = work, lambda n: 1 if n < 8 else 0, shift, d
+    # do must not yield a presentation: here valfn reads 1 on the input
+    # entries 2 and 4 and 0 on the 2 x 2 minor 8, so v(d_1) = 1 and v(d_2) = 0
+    kernel_rows = lattices._kernel_rows
+
+    def falling(rows, model, rho):
+        work, _, shift, d = kernel_rows(rows, model, rho)
+        return work, lambda n: 1 if n < 8 else 0, shift, d
+
+    monkeypatch.setattr(lattices, "_kernel_rows", falling)
     with pytest.raises(InvariantError, match="left the valuation ring"):
-        fn(pres)
+        PresentationMatrix.from_rows(p_adic_q(2), [[2, 0], [0, 4]])
+
+
+def test_each_laurent_level_is_read_by_the_pivot_searches_alone(monkeypatch):
+    # building a Laurent presentation and reading smith and content from it
+    # reads the levels the kernel's pivot searches read (each nonzero live
+    # entry once per step), in the same order, and no others: no separate
+    # pass checks the entries against the valuation ring
+    model = pi_adic_q()
+    rho = (Fraction(1, 2), Fraction(1, 3))
+
+    def poly(*terms):
+        return LaurentPoly(model, 2, {exps: uniformize(model, k) for exps, k in terms})
+
+    entries = [[poly(((1, 0), 0), ((0, 1), 1)), poly(((0, 2), 0)), poly()],
+               [poly(((1, 1), 1)), poly(((2, 0), 0), ((0, 1), 0)), poly(((1, 0), 2))],
+               [poly(((0, 0), 1)), poly(), poly(((1, 2), 0), ((0, 0), 3))]]
+    d, steps = _radii(rho, 2)
+    searched = []
+    _bareiss([list(row) for row in entries], lambda f: searched.append(f) or _level(f, d, steps))
+    reads = []
+    monkeypatch.setattr(lattices, "_level", lambda f, d, steps: reads.append(f) or _level(f, d, steps))
+    pres = PresentationMatrix(model, entries, nvars=2, rho=rho)
+    divisors, total = smith(pres), content(pres)
+    assert len(searched) == 7 + 4 + 1 and reads == searched
+    assert total == vsum(divisors.divisors) and divisors == lattice_oracle.smith(pres)
 
 
 def test_det_val_and_index_read_nvars_as_an_int():
@@ -613,6 +642,15 @@ def test_det_val_and_index_read_nvars_as_an_int():
             det_val([[1]], k2, bad, (1,))
         with pytest.raises(DomainError, match="number of variables"):
             semilattice_index([[1]], [[1]], k2, bad, (1,))
+
+
+def test_a_negative_nvars_is_refused_as_such():
+    k2 = p_adic_q(2)
+    for build in (lambda: PresentationMatrix(k2, [[1]], nvars=-1),
+                  lambda: det_val([[1]], k2, -1),
+                  lambda: semilattice_index([[1]], [[1]], k2, -1)):
+        with pytest.raises(DomainError, match="number of variables must be nonnegative"):
+            build()
 
 
 def test_elementary_divisors_read_free_rank_as_an_int():
