@@ -593,10 +593,12 @@ def test_content_is_the_last_pivot_and_the_divisor_sum(case):
     assert got == (INF if expected.free_rank else vsum(expected.divisors))
 
 
-def test_a_pivot_below_its_predecessor_is_an_invariant_error(monkeypatch):
+@pytest.mark.parametrize("fn", [smith, content])
+def test_a_pivot_below_its_predecessor_is_an_invariant_error(fn, monkeypatch):
     # least-valuation pivots never fall; a kernel whose pivot valuations
-    # do must not yield a presentation: here valfn reads 1 on the input
-    # entries 2 and 4 and 0 on the 2 x 2 minor 8, so v(d_1) = 1 and v(d_2) = 0
+    # do must not yield a presentation, so neither reader gets divisors:
+    # here valfn reads 1 on the input entries 2 and 4 and 0 on the 2 x 2
+    # minor 8, so v(d_1) = 1 and v(d_2) = 0
     kernel_rows = lattices._kernel_rows
 
     def falling(rows, model, rho):
@@ -605,7 +607,7 @@ def test_a_pivot_below_its_predecessor_is_an_invariant_error(monkeypatch):
 
     monkeypatch.setattr(lattices, "_kernel_rows", falling)
     with pytest.raises(InvariantError, match="left the valuation ring"):
-        PresentationMatrix.from_rows(p_adic_q(2), [[2, 0], [0, 4]])
+        fn(PresentationMatrix.from_rows(p_adic_q(2), [[2, 0], [0, 4]]))
 
 
 def test_each_laurent_level_is_read_by_the_pivot_searches_alone(monkeypatch):
