@@ -17,12 +17,15 @@ Matrix entries may be plain base-field elements or Laurent polynomials in
 auxiliary variables carrying fixed Gauss radii; in the latter case entry
 valuations are generalized Gauss valuations.  The kernel runs on ints for
 the rational models (each row scaled by the lcm of its denominators), on
-polynomials in Z[pi] or F_p[pi] for the pi-adic ones (each row scaled by
-the product of its distinct denominators), where every division is an
-exact polynomial division and no gcd runs, and on Laurent polynomials
-otherwise (_kernel_rows).  Every valuation read is an int, over the radii's
+int tuples, the coefficients of polynomials in Z[pi] or F_p[pi], for the
+pi-adic ones (each row scaled by the product of its distinct
+denominators), where every division is an exact polynomial division and
+no gcd runs, and on Laurent polynomials otherwise (_kernel_rows).  Each
+ring has one step callable for the kernel's update, and no field element
+is built in the loop.  Every valuation read is an int, over the radii's
 common denominator for Laurent entries.  The kernel also gives forms exact
-determinants (_det) and tropical the pivot columns of constraint matrices.
+determinants of 4 x 4 and larger matrices (_det) and tropical the pivot
+columns of constraint matrices.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError, InvariantError
-from .fields import BaseFieldModel, FieldElement, _as_int, _int_padic, _pdiv_exact, _pmul, _pord
+from .fields import (BaseFieldModel, FieldElement, _as_int, _int_padic, _pdiv_exact, _pmul,
+                     _pord, _psub)
 from .laurent import LaurentPoly, _exact_quotient, _level, _radii
 from .values import INF, Val
 
@@ -77,10 +81,17 @@ def _coerce_rows(entries, model: BaseFieldModel, nvars, rho):
     nvars = _as_int(nvars, "number of variables")
     if nvars < 0:
         raise DomainError("number of variables must be nonnegative")
-    rho = tuple(Fraction(r) for r in rho)
+    try:
+        rho = tuple(Fraction(r) for r in rho)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"radii {rho!r} are not a vector of rational numbers") from exc
     if len(rho) != nvars:
         raise DomainError("one Gauss radius per auxiliary variable is required")
-    return nvars, rho, [[_coerce_entry(e, model, nvars) for e in row] for row in entries]
+    try:
+        rows = [list(row) for row in entries]
+    except TypeError as exc:
+        raise DomainError(f"matrix {entries!r} is not a sequence of rows of entries") from exc
+    return nvars, rho, [[_coerce_entry(e, model, nvars) for e in row] for row in rows]
 
 
 class PresentationMatrix:
@@ -97,8 +108,8 @@ class PresentationMatrix:
         if any(len(r) != self.cols for r in rows):
             raise DomainError("ragged matrix")
         self.entries = tuple(map(tuple, rows))
-        work, valfn, shift, self._d = _kernel_rows(rows, model, self.rho)
-        self._vals = vals = _bareiss(work, valfn)[2]
+        work, step, valfn, shift, self._d = _kernel_rows(rows, model, self.rho)
+        self._vals = vals = _bareiss(work, step, valfn)[2]
         if shift or vals and vals[0] < 0:
             raise DomainError("presentation entries must lie in the valuation ring (valuation >= 0)")
         if any(v < last for v, last in zip(vals[1:], vals)):
@@ -134,21 +145,23 @@ class ElementaryDivisors:
         return self.free_rank + len(self.divisors)
 
 
-def _bareiss(work, valfn=None):
+def _bareiss(work, step, valfn=None):
     """Fraction-free Gaussian elimination (Bareiss, 1968) with full
-    pivoting, in place on a matrix of ints, field elements or Laurent
-    polynomials.
+    pivoting, in place on a matrix over one ring: ints, int tuples (the
+    polynomials of _poly_step) or Laurent polynomials.
 
     Step k picks a pivot d_k in the live block, retires its row and column
-    and sets every other live entry a_ij to (d_k a_ij - a_ip a_pj) / d_(k-1),
-    with d_0 = 1.  A live entry is then the minor on the retired rows and
-    columns plus its own, so every division is exact (an inexact one
-    raises InvariantError) and d_k is a k x k minor.  With valfn, the int
-    valuation of a nonzero entry (a Laurent entry's laurent._level), the
-    pivot is the nonzero live entry of least valfn value (ties by row-major
-    position), so v(d_k) is the least valuation of any k x k minor; each
-    step calls valfn once on every nonzero live entry.  Without valfn the
-    pivot is the first nonzero live entry.
+    and sets every other live entry a_ij to step(d_k, a_ij, a_ip, a_pj,
+    d_(k-1)) = (d_k a_ij - a_ip a_pj) / d_(k-1), with d_(k-1) None for
+    k = 1 (no division).  A live entry is then the minor on the retired
+    rows and columns plus its own, so every division is exact (an inexact
+    one raises InvariantError in step) and d_k is a k x k minor.  With
+    valfn, the int valuation of a nonzero entry (_pord of a tuple, a
+    Laurent entry's laurent._level), the pivot is the nonzero live entry
+    of least valfn value (ties by row-major position), so v(d_k) is the
+    least valuation of any k x k minor; each step calls valfn once on
+    every nonzero live entry.  Without valfn the pivot is the first
+    nonzero live entry.
 
     Returns (positions, sign, vals): the pivot positions (row, col) until
     the live block is zero or empty, the sign of the row and column
@@ -189,57 +202,75 @@ def _bareiss(work, valfn=None):
             row = work[r]
             a = row[pc]
             for c in live_cols:
-                x, y = row[c], top[c]
-                new = piv * x if x else x
-                if a and y:
-                    new = new - a * y
-                if prev is not None and new:
-                    new = _quotient(new, prev)
-                row[c] = new
+                row[c] = step(piv, row[c], a, top[c], prev)
         prev = piv
     return positions, sign, vals
 
 
-def _quotient(f, g):
-    """f / g in the kernel's ring, exact or an InvariantError: ints, field
-    elements that are polynomials in Z[pi] or F_p[pi] (den == (1,), as
-    _kernel_rows makes them), or Laurent polynomials."""
-    if isinstance(f, int):
-        q, rem = divmod(f, g)
-        if rem:
-            raise InvariantError("inexact integer division in the elimination kernel")
-        return q
-    if isinstance(f, FieldElement):
-        return FieldElement(f.model, _pdiv_exact(f.num, g.num, f.model._char), (1,))
-    return _exact_quotient(f, g)
+def _int_step(piv, x, a, y, prev):
+    """The kernel's step over Z."""
+    new = piv * x - a * y
+    if prev is None:
+        return new
+    new, rem = divmod(new, prev)
+    if rem:
+        raise InvariantError("inexact integer division in the elimination kernel")
+    return new
+
+
+def _poly_step(p):
+    """The kernel's step over Z[pi] (p = 0) or F_p[pi], on coefficient
+    tuples (fields._pstrip form, () for 0); _pdiv_exact refuses an
+    inexact division."""
+    def step(piv, x, a, y, prev):
+        new = _pmul(piv, x, p)
+        if a and y:
+            new = _psub(new, _pmul(a, y, p), p)
+        if prev is None or not new:
+            return new
+        return _pdiv_exact(new, prev, p)
+    return step
+
+
+def _laurent_step(piv, x, a, y, prev):
+    """The kernel's step over Laurent polynomials; _exact_quotient refuses
+    an inexact division."""
+    new = piv * x if x else x
+    if a and y:
+        new = new - a * y
+    if prev is None or not new:
+        return new
+    return _exact_quotient(new, prev)
 
 
 def _kernel_rows(rows, model: BaseFieldModel, rho):
-    """(work, valfn, shift, d): the kernel's rows (those of rows where no
-    scale applies), and as ints over d the valuation of a nonzero entry and
-    the one the row scaling adds to every n x n minor.
+    """(work, step, valfn, shift, d): the kernel's rows (those of rows
+    where no scale applies) and its step over their ring, and as ints over
+    d the valuation of a nonzero entry and the one the row scaling adds to
+    every n x n minor.
 
     Rows over trivial_q and p_adic_q become ints, each scaled by the lcm
     of its denominators.  Over the pi-adic models each row is scaled by
     the product of its distinct denominators, so every entry is a
-    polynomial in Z[pi] or F_p[pi] (a field element with den == (1,)); a
-    row without denominators is kept as it is.  For entries in K° every
-    scale is a unit, and d = 1.  Laurent entries (rho nonempty) stay
-    Laurent polynomials, unscaled, valued by laurent._level at the radii
-    prepared here once, over their common denominator d."""
+    polynomial in Z[pi] or F_p[pi], kept as its int coefficient tuple (a
+    row without denominators as its numerators) and valued by _pord.  For
+    entries in K° every scale is a unit, and d = 1.  Laurent entries (rho
+    nonempty) stay Laurent polynomials, unscaled, valued by laurent._level
+    at the radii prepared here once, over their common denominator d."""
     if rho:
         d, steps = _radii(rho, len(rho))
-        return rows, lambda e: _level(e, d, steps), 0, d
+        return rows, _laurent_step, lambda e: _level(e, d, steps), 0, d
     work, shift = [], 0
     if model.has_pi:
         p = model._char
         for row in rows:
             dens = dict.fromkeys(e.den for e in row if e.den != (1,))
             if dens:
-                row = [FieldElement(model, _cofactor_num(e, dens, p), (1,)) for e in row]
+                work.append([_cofactor_num(e, dens, p) for e in row])
                 shift += sum(_pord(d) for d in dens)
-            work.append(row)
-        return work, lambda e: _pord(e.num), shift, 1
+            else:
+                work.append([e.num for e in row])
+        return work, _poly_step(p), _pord, shift, 1
     p = model.p
     for row in rows:
         scale = lcm(*(e.den[0] for e in row))
@@ -247,8 +278,8 @@ def _kernel_rows(rows, model: BaseFieldModel, rho):
         if p:
             shift += _int_padic(scale, p)
     if p:
-        return work, lambda n: _int_padic(n, p), shift, 1
-    return work, lambda n: 0, 0, 1
+        return work, _int_step, lambda n: _int_padic(n, p), shift, 1
+    return work, _int_step, lambda n: 0, 0, 1
 
 
 def _cofactor_num(e: FieldElement, dens, p):
@@ -264,15 +295,18 @@ def _cofactor_num(e: FieldElement, dens, p):
 
 def _det(rows):
     """Exact determinant of a square matrix of ints, or of a nonempty one
-    of field elements or Laurent polynomials, by the kernel.  Up to 2 x 2
-    the kernel's one product is written out."""
-    if len(rows) < 3:
-        if len(rows) < 2:
-            return rows[0][0] if rows else 1
+    of Laurent polynomials: up to 3 x 3 by cofactor expansion, larger by
+    the kernel."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    if len(rows) == 2:
         (a, b), (c, d) = rows
         return a * d - b * c
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     work = [list(r) for r in rows]
-    positions, sign, _ = _bareiss(work)
+    positions, sign, _ = _bareiss(work, _int_step if isinstance(rows[0][0], int) else _laurent_step)
     if len(positions) < len(work):
         return work[0][0] - work[0][0]  # the zero of the entries' ring
     r, c = positions[-1]
@@ -281,11 +315,15 @@ def _det(rows):
 
 def smith(presentation: PresentationMatrix) -> ElementaryDivisors:
     """Elementary divisors of the presented module: the differences of the
-    kernel's successive pivot valuations, ascending."""
-    vals = presentation._vals
-    divisors = sorted(v - last for v, last in zip(vals, [0, *vals]))
-    return ElementaryDivisors(tuple(Fraction(v, presentation._d) for v in divisors),
-                              presentation.rows - len(vals))
+    kernel's successive pivot valuations, ascending.  Construction has
+    checked that the first pivot is >= 0 and that none falls below its
+    predecessor, so the divisors skip ElementaryDivisors' re-validation."""
+    vals, d = presentation._vals, presentation._d
+    out = object.__new__(ElementaryDivisors)
+    object.__setattr__(out, "divisors", tuple(
+        Val(Fraction(v, d)) for v in sorted(v - last for v, last in zip(vals, [0, *vals]))))
+    object.__setattr__(out, "free_rank", presentation.rows - len(vals))
+    return out
 
 
 def content(presentation: PresentationMatrix) -> Val:
@@ -307,8 +345,8 @@ def det_val(entries, model: BaseFieldModel, nvars: int = 0, rho=()) -> Val:
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise DomainError("determinant requires a square matrix")
-    work, valfn, shift, d = _kernel_rows(rows, model, rho)
-    vals = _bareiss(work, valfn)[2]
+    work, step, valfn, shift, d = _kernel_rows(rows, model, rho)
+    vals = _bareiss(work, step, valfn)[2]
     if len(vals) < size:
         return INF
     return Val(Fraction(vals[-1] - shift, d)) if vals else _ZERO

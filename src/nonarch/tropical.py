@@ -28,7 +28,7 @@ from operator import itemgetter, mul
 from .errors import DomainError
 from .fields import _as_int, _scale_to_ints
 from .forms import MonomialChart, Pluriform
-from .lattices import _bareiss
+from .lattices import _bareiss, _int_step
 from .laurent import gauss_val
 from .lp import INFEASIBLE, _pivot, lp_min
 from .values import INF, Val
@@ -270,7 +270,7 @@ def _bounded_pass(p: RationalPolytope) -> list:
                 if solved is not None and any(all(y >= 0 for y in row) for row in solved[0]):
                     raise DomainError(_UNBOUNDED)
         return found
-    cols = [c for _, c in _bareiss([a[:] for a, _ in rows])[0]]
+    cols = [c for _, c in _bareiss([a[:] for a, _ in rows], _int_step)[0]]
     if len(cols) == n or not _vertex_pass(
             RationalPolytope(len(cols), [([a[c] for c in cols], b) for a, b in rows]))[1]:
         raise DomainError("empty polytope")

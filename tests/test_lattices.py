@@ -11,14 +11,17 @@ from hypothesis import given, settings, strategies as st
 import lattice_oracle
 from nonarch import lattices
 from nonarch.errors import DomainError, InvariantError
-from nonarch.fields import p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
+from nonarch.fields import FieldElement, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
 from nonarch.laurent import LaurentPoly, _exact_quotient, _level, _radii, gauss_val
 from nonarch.lattices import (
     ElementaryDivisors,
     PresentationMatrix,
     _bareiss,
     _det,
+    _int_step,
     _kernel_rows,
+    _laurent_step,
+    _poly_step,
     adic_norm,
     content,
     det_val,
@@ -405,19 +408,22 @@ def test_exact_quotient_recovers_factors_and_refuses_remainders():
 
 
 def test_inexact_division_is_refused_under_python_O():
-    # the field-element cases are polynomials, as _kernel_rows makes them:
+    # each division f / g goes through its ring's step as (1*f - 0*0) / g;
+    # the tuple cases are polynomials, as _kernel_rows makes them:
     # (1 + pi) / 2 lies in Q(pi) but not in Z[pi], pi / (1 + pi) in F_2(pi)
     # but not in F_2[pi]
-    code = ("from nonarch.fields import pi_adic_fp, pi_adic_q\n"
-            "from nonarch.laurent import LaurentPoly, _exact_quotient\n"
-            "from nonarch.lattices import _quotient\n"
+    code = ("from nonarch.fields import pi_adic_q\n"
+            "from nonarch.laurent import LaurentPoly\n"
+            "from nonarch.lattices import _int_step, _laurent_step, _poly_step\n"
             "from nonarch.errors import InvariantError\n"
             "k = pi_adic_q(); t = LaurentPoly.variable(k, 2, 1); s = LaurentPoly.variable(k, 2, 2)\n"
-            "f2 = pi_adic_fp(2); pi = f2.uniformizer()\n"
-            "for f, g in ((t, t - s), (t + s ** 5, 1 + s ** -1), (7, 2),\n"
-            "             (k.from_pi_polys([1, 1]), k.elem(2)), (pi, 1 + pi)):\n"
+            "one, zero = LaurentPoly.one(k, 2), LaurentPoly.zero(k, 2)\n"
+            "for step, f, g, unit, nil in (\n"
+            "        (_laurent_step, t, t - s, one, zero),\n"
+            "        (_laurent_step, t + s ** 5, 1 + s ** -1, one, zero), (_int_step, 7, 2, 1, 0),\n"
+            "        (_poly_step(0), (1, 1), (2,), (1,), ()), (_poly_step(2), (0, 1), (1, 1), (1,), ())):\n"
             "    try:\n"
-            "        _quotient(f, g)\n"
+            "        step(unit, f, nil, nil, g)\n"
             "    except InvariantError:\n"
             "        continue\n"
             "    raise SystemExit(f'no error for {f} / {g}')\n"
@@ -428,6 +434,91 @@ def test_inexact_division_is_refused_under_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+# -- the per-ring steps against the field's own arithmetic --------------------
+
+_coeffs = st.lists(st.integers(-9, 9), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 2, 3]), st.tuples(_coeffs, _coeffs, _coeffs, _coeffs, _coeffs),
+       st.sampled_from(["none", "divides", "any"]))
+def test_poly_step_is_the_field_quotient_when_it_is_a_polynomial(p, polys, kind):
+    # (piv*x - a*y) / prev over Z[pi] (p = 0) or F_p[pi], against the same
+    # expression in Q(pi) or F_p(pi): the step returns the numerator of a
+    # quotient in lowest terms with den == (1,), and refuses every other
+    model = pi_adic_fp(p) if p else pi_adic_q()
+    piv, x, a, y, prev = (model.from_pi_polys(c) if any(c) else model.zero() for c in polys)
+    if kind != "none" and not prev:
+        prev = model.elem(1 + p)
+    if kind == "divides":
+        piv, a = piv * prev, a * prev
+    step = _poly_step(p)
+    args = [e.num for e in (piv, x, a, y)]
+    expected = piv * x - a * y
+    if kind == "none":
+        assert step(*args, None) == expected.num
+        return
+    expected = expected / prev
+    if expected.den == (1,):
+        assert step(*args, prev.num) == expected.num
+    else:
+        assert kind == "any"
+        with pytest.raises(InvariantError):
+            step(*args, prev.num)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(-10**6, 10**6)] * 4), st.integers(-50, 50).filter(bool),
+       st.booleans())
+def test_int_step_is_the_rational_quotient_when_it_is_an_int(ints, prev, divides):
+    piv, x, a, y = ints
+    if divides:
+        piv, a = piv * prev, a * prev
+    assert _int_step(piv, x, a, y, None) == piv * x - a * y
+    expected = Fraction(piv * x - a * y, prev)
+    if expected.denominator == 1:
+        assert _int_step(piv, x, a, y, prev) == expected
+    else:
+        assert not divides
+        with pytest.raises(InvariantError):
+            _int_step(piv, x, a, y, prev)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laurent_matrices(sizes=(2,)))
+def test_laurent_step_divides_out_a_common_factor(case):
+    # with piv and a both multiples of prev, the step is piv/prev * x -
+    # a/prev * y, by LaurentPoly arithmetic alone; x has no t1^3 term, so
+    # prev is nonzero
+    model, nvars, _, ((piv, x), (a, y)) = case
+    prev = x + LaurentPoly.variable(model, nvars, 1) ** 3
+    assert _laurent_step(piv * prev, x, a * prev, y, prev) == piv * x - a * y
+    assert _laurent_step(piv, x, a, y, None) == piv * x - a * y
+
+
+def test_pi_adic_kernel_builds_no_field_element(monkeypatch):
+    # a presentation with polynomial entries (den == (1,)), its smith and
+    # content, and det_val of the same entries, run on int tuples alone
+    calls = []
+    init = FieldElement.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    for model in (pi_adic_q(), pi_adic_fp(3)):
+        entries = [[model.from_pi_polys(c) for c in row]
+                   for row in [[(1, 2), (0, 1), (3,)], [(0, 0, 1), (2, 1), (1, 1, 1)],
+                               [(5,), (0, 1, 2), (1, 0, 1)]]]
+        monkeypatch.setattr(FieldElement, "__init__", counting)
+        pres = PresentationMatrix.from_rows(model, entries)
+        got = smith(pres), content(pres), det_val(entries, model)
+        monkeypatch.setattr(FieldElement, "__init__", init)
+        assert calls == []
+        assert got[0] == lattice_oracle.field_smith(pres)
+        assert got[2] == lattice_oracle.field_det_val(entries, model)
 
 
 # -- field entries: the kernel against elimination in the field ---------------
@@ -496,11 +587,12 @@ def test_pi_adic_kernel_rows_are_polynomial_multiples_of_the_input_rows(case):
     # is a polynomial; each work row is its input row times one element,
     # and shift adds up the valuations of those elements, over d = 1
     model, entries = case
-    work, valfn, shift, d = _kernel_rows(entries, model, ())
+    work, _, valfn, shift, d = _kernel_rows(entries, model, ())
     assert d == 1
     total = 0
-    for row, scaled in zip(entries, work):
-        assert len(scaled) == len(row)
+    for row, tuples in zip(entries, work):
+        assert len(tuples) == len(row)
+        scaled = [FieldElement(model, w, (1,)) for w in tuples]
         assert all(w.den == (1,) for w in scaled)
         nonzero = [(e, w) for e, w in zip(row, scaled) if e]
         if not nonzero:
@@ -508,11 +600,29 @@ def test_pi_adic_kernel_rows_are_polynomial_multiples_of_the_input_rows(case):
             continue
         scale = nonzero[0][1] / nonzero[0][0]
         assert all(w == e * scale for e, w in zip(row, scaled))
-        assert all(valfn(w) == w.val().fraction for w in scaled if w)
+        assert all(valfn(w.num) == w.val().fraction for w in scaled if w)
         total += scale.val().fraction
     assert shift == total
     if all(e.val() >= Val(0) for row in entries for e in row):
         assert shift == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_field_matrices(), _field_matrices(min_k=-2)))
+def test_smith_divisors_are_those_the_public_constructor_accepts(case):
+    # smith skips ElementaryDivisors' checks; the public constructor, which
+    # runs them all, accepts its divisors and gives an equal, equally hashed
+    # value, and both agree with elimination in the field
+    model, entries = case
+    try:
+        pres = PresentationMatrix.from_rows(model, entries)
+    except DomainError:
+        return
+    got = smith(pres)
+    checked = ElementaryDivisors(got.divisors, got.free_rank)
+    assert got == checked and hash(got) == hash(checked)
+    assert all(type(v) is Val for v in got.divisors) and type(got.free_rank) is int
+    assert got == lattice_oracle.field_smith(pres)
 
 
 @st.composite
@@ -564,7 +674,7 @@ def test_laurent_kernel_levels_are_ints_over_the_radii_denominator(case):
     # the kernel reads a Laurent entry's Gauss valuation as an int level
     # over d, the common denominator of the radii
     model, _, rho, entries = case
-    _, valfn, shift, d = _kernel_rows(entries, model, rho)
+    _, _, valfn, shift, d = _kernel_rows(entries, model, rho)
     assert shift == 0 and d == lcm(*(r.denominator for r in rho))
     levels = {e: valfn(e) for row in entries for e in row if e}
     assert all(type(v) is int and Fraction(v, d) == gauss_val(e, rho).fraction
@@ -602,8 +712,8 @@ def test_a_pivot_below_its_predecessor_is_an_invariant_error(fn, monkeypatch):
     kernel_rows = lattices._kernel_rows
 
     def falling(rows, model, rho):
-        work, _, shift, d = kernel_rows(rows, model, rho)
-        return work, lambda n: 1 if n < 8 else 0, shift, d
+        work, step, _, shift, d = kernel_rows(rows, model, rho)
+        return work, step, lambda n: 1 if n < 8 else 0, shift, d
 
     monkeypatch.setattr(lattices, "_kernel_rows", falling)
     with pytest.raises(InvariantError, match="left the valuation ring"):
@@ -626,7 +736,8 @@ def test_each_laurent_level_is_read_by_the_pivot_searches_alone(monkeypatch):
                [poly(((0, 0), 1)), poly(), poly(((1, 2), 0), ((0, 0), 3))]]
     d, steps = _radii(rho, 2)
     searched = []
-    _bareiss([list(row) for row in entries], lambda f: searched.append(f) or _level(f, d, steps))
+    _bareiss([list(row) for row in entries], _laurent_step,
+             lambda f: searched.append(f) or _level(f, d, steps))
     reads = []
     monkeypatch.setattr(lattices, "_level", lambda f, d, steps: reads.append(f) or _level(f, d, steps))
     pres = PresentationMatrix(model, entries, nvars=2, rho=rho)
@@ -653,6 +764,33 @@ def test_a_negative_nvars_is_refused_as_such():
                   lambda: semilattice_index([[1]], [[1]], k2, -1)):
         with pytest.raises(DomainError, match="number of variables must be nonnegative"):
             build()
+
+
+def test_malformed_radii_and_rows_are_domain_errors():
+    k2 = p_adic_q(2)
+    for rho in (["x"], 1, [None], [float("inf")]):
+        for build in (lambda: PresentationMatrix(k2, [[1]], nvars=1, rho=rho),
+                      lambda: det_val([[1]], k2, 1, rho),
+                      lambda: semilattice_index([[1]], [[1]], k2, 1, rho)):
+            with pytest.raises(DomainError, match="not a vector of rational numbers"):
+                build()
+    for build in (lambda: PresentationMatrix(p_adic_q(2), [1, 2]),
+                  lambda: PresentationMatrix(k2, None),
+                  lambda: det_val([1, 2], k2),
+                  lambda: semilattice_index([[1]], 3, k2)):
+        with pytest.raises(DomainError, match="not a sequence of rows"):
+            build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KERNEL_MODELS), st.integers(0, 10**6))
+def test_3x3_det_is_the_cofactor_oracle(model, seed):
+    rows = _found_matrix(seed, model, size=3)
+    assert _det(rows) == lattice_oracle.det_laurent(rows)
+    rng = random.Random(seed)
+    ints = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+    lifted = [[LaurentPoly.constant(model, 1, c) for c in row] for row in ints]
+    assert LaurentPoly.constant(model, 1, _det(ints)) == lattice_oracle.det_laurent(lifted)
 
 
 def test_elementary_divisors_read_free_rank_as_an_int():
