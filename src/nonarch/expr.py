@@ -251,8 +251,9 @@ def parse_poly(text: str, model: BaseFieldModel, n: int, variables: str = "t") -
 
 
 def _coeff_factors(elem) -> list:
-    """Grammar factors multiplying to the coefficient; raises when the
-    coefficient is not expressible (non-monomial pi denominator)."""
+    """Grammar factors multiplying to the nonzero coefficient (a LaurentPoly
+    stores no zero); raises when the coefficient is not expressible
+    (non-monomial pi denominator)."""
     num, den = elem.num, elem.den
     if any(den[:-1]):
         raise DomainError(
@@ -270,8 +271,6 @@ def _coeff_factors(elem) -> list:
         else:
             pi = "pi" if e == 1 else f"pi^{e}"
             parts.append(pi if cs == "1" else f"{cs}*{pi}")
-    if not parts:
-        return ["0"]
     if len(parts) == 1:
         return [parts[0]]
     return ["(" + " + ".join(parts) + ")"]

@@ -135,43 +135,24 @@ def _monic(num, den, p):
     return _pstrip([c * inv for c in num], p), _pstrip([c * inv for c in den], p)
 
 
-# -- gcds: Euclid over F_p[pi], primitive remainder sequences over Z[pi] ----
+# -- gcds: primitive pseudo-remainder sequences over Z[pi] and F_p[pi] -----
 # Euclid directly over Q suffers severe coefficient swell; clearing
 # denominators and running a primitive PRS over Z keeps everything in fast
-# machine/long integer arithmetic.
-
-def _pdivmod(a, b, p):
-    """Quotient and remainder of a by a nonzero b over F_p."""
-    inv = pow(b[-1], -1, p)
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * max(0, len(a) - db)
-    for shift in range(len(a) - 1 - db, -1, -1):
-        factor = q[shift] = a[shift + db] * inv % p
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-    return _pstrip(q), _pstrip(a[:db], p)
-
-
-def _euclid(a, b, p):
-    """A gcd over F_p, not made monic."""
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    return a
-
+# machine/long integer arithmetic.  The same sequence with each
+# pseudo-remainder reduced mod p is Euclid over F_p up to units.
 
 def _full_reduce(num, den, p):
     """Lowest terms in the canonical form: a monic denominator over F_p;
     over Q a denominator leading positive and joint integer content 1."""
     if p:
-        g = _euclid(num, den, p)
+        g = _zgcd(num, den, p)
         if len(g) > 1:
             num = _pdiv_exact(num, g, p)
             den = _pdiv_exact(den, g, p)
         return _monic(num, den, p)
     cn, num = _primitive(num)
     cd, den = _primitive(den)
-    h = _zgcd(num, den)
+    h = _zgcd(num, den, 0)
     if len(h) > 1:
         num = _pdiv_exact(num, h, 0)
         den = _pdiv_exact(den, h, 0)
@@ -196,15 +177,15 @@ def _scale_to_ints(qs):
     return scale, [q.numerator * (scale // q.denominator) for q in qs]
 
 
-def _z_pseudo_rem(a, b):
-    a = list(a)
+def _z_pseudo_rem(a, b, p):
+    """The pseudo-remainder of a by a nonzero b over Z, each step reduced
+    mod p when p is set (over F_p a unit times the remainder)."""
     db = len(b) - 1
     lb = b[-1]
     while True:
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db or not a:
-            return tuple(a)
+        a = _pstrip(a, p)
+        if len(a) <= db:
+            return a
         shift = len(a) - 1 - db
         la = a[-1]
         a = [lb * c for c in a]
@@ -212,13 +193,14 @@ def _z_pseudo_rem(a, b):
             a[shift + i] -= la * c
 
 
-def _zgcd(a, b):
-    """The primitive gcd, leading positive, of two primitive int tuples."""
+def _zgcd(a, b, p):
+    """The primitive gcd, leading positive, of two primitive int tuples;
+    over F_p (p set) a gcd of any two, up to a unit."""
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _z_pseudo_rem(a, b)
-        if b:
+        a, b = b, _z_pseudo_rem(a, b, p)
+        if b and not p:
             b = _primitive(b)[1]
     return a
 
@@ -264,6 +246,8 @@ class BaseFieldModel:
         if kind not in (TRIVIAL_Q, P_ADIC_Q, PI_ADIC_Q, PI_ADIC_FP):
             raise DomainError(f"unknown base field kind {kind!r}")
         if kind in (P_ADIC_Q, PI_ADIC_FP):
+            if p is not None:
+                p = _as_int(p, "prime p")
             if p is None or not _is_prime(p):
                 raise DomainError(f"{kind} requires a prime p, got {p!r}")
         elif p is not None:
@@ -492,23 +476,13 @@ class FieldElement:
         k = _as_int(k)
         if k < 0:
             return (self.model.one() / self) ** (-k)
-        if k == 0:
-            return self.model.one()
         num, den = self.num, self.den
         # a*pi^i/b and a/(b*pi^j) go straight to (a/b)^k*pi^((i - j)k)
         if num and not any(num[:-1]) and not any(den[:-1]):
             p = self.model._char
             c = pow(num[-1], k, p) if p else Fraction(num[-1], den[-1]) ** k
             return FieldElement._monomial(self.model, c, (len(num) - len(den)) * k)
-        result = self.model.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, self.model.one())
 
     @property
     def is_zero(self) -> bool:
@@ -575,13 +549,40 @@ class FieldElement:
 
 def _as_int(x, what="exponent") -> int:
     """x as an int, as int() reads it; a DomainError naming x as what where
-    int() would truncate a number (2.7 is not 2)."""
+    int() fails or would truncate a number (2.7 is not 2)."""
     if type(x) is int:
         return x
-    k = int(x)
+    try:
+        k = int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} {x!r} is not an integer") from exc
     if k != x and not isinstance(x, str):
         raise DomainError(f"{what} {x} is not an integer")
     return k
+
+
+def _as_rationals(xs, n, what) -> tuple:
+    """xs as a tuple of n Fractions; a DomainError naming xs as what where
+    Fraction cannot read an entry or the length is not n."""
+    try:
+        xs = tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"{what} {xs!r} are not a vector of rational numbers") from exc
+    if len(xs) != n:
+        raise DomainError(f"{what} dimension mismatch: got {len(xs)}, expected {n}")
+    return xs
+
+
+def _power(base, k: int, one):
+    """base ** k for an int k >= 0, by square-and-multiply from one."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 def _int_padic(n: int, p: int) -> int:

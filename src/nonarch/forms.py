@@ -29,7 +29,7 @@ from math import inf, prod
 from operator import mul
 
 from .errors import DomainError
-from .fields import PI_ADIC_FP, BaseFieldModel, _as_int
+from .fields import PI_ADIC_FP, BaseFieldModel, _as_int, _as_rationals
 from .lattices import _det
 from .laurent import LaurentPoly, _add_term, _level, _radii
 from .values import INF, Val
@@ -69,12 +69,7 @@ class MonomialChart:
             if g.is_zero:
                 raise DomainError("chart substitutions must be nonzero")
         self.substitutions = subs
-        try:
-            self.rho = tuple(Fraction(r) for r in rho)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"radii {rho!r} are not a vector of rational numbers") from exc
-        if len(self.rho) != self.n:
-            raise DomainError("one radius per variable is required")
+        self.rho = _as_rationals(rho, self.n, "radii")
 
     @classmethod
     def identity(cls, model, n, rho) -> "MonomialChart":

@@ -35,8 +35,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError, InvariantError
-from .fields import (BaseFieldModel, FieldElement, _as_int, _int_padic, _pdiv_exact, _pmul,
-                     _pord, _psub)
+from .fields import (BaseFieldModel, FieldElement, _as_int, _as_rationals, _int_padic,
+                     _pdiv_exact, _pmul, _pord, _psub)
 from .laurent import LaurentPoly, _exact_quotient, _level, _radii
 from .values import INF, Val
 
@@ -81,12 +81,7 @@ def _coerce_rows(entries, model: BaseFieldModel, nvars, rho):
     nvars = _as_int(nvars, "number of variables")
     if nvars < 0:
         raise DomainError("number of variables must be nonnegative")
-    try:
-        rho = tuple(Fraction(r) for r in rho)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"radii {rho!r} are not a vector of rational numbers") from exc
-    if len(rho) != nvars:
-        raise DomainError("one Gauss radius per auxiliary variable is required")
+    rho = _as_rationals(rho, nvars, "radii")
     try:
         rows = [list(row) for row in entries]
     except TypeError as exc:
@@ -130,7 +125,12 @@ class ElementaryDivisors:
     free_rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "divisors", tuple(Val(d) for d in self.divisors))
+        try:
+            divisors = tuple(Val(d) for d in self.divisors)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(
+                f"elementary divisors {self.divisors!r} are not a vector of valuations") from exc
+        object.__setattr__(self, "divisors", divisors)
         qs = [None if d.is_inf else d.fraction for d in self.divisors]
         if any(q is None or q < 0 for q in qs):
             raise DomainError("elementary divisors must be finite and >= 0")
@@ -367,7 +367,10 @@ def adic_norm(divisors: ElementaryDivisors, coords, model: BaseFieldModel) -> Va
     coordinates (free part first).  INF exactly when the element is
     divisible, i.e. zero in the free part and zero in every torsion
     component."""
-    coords = [model.elem(c) for c in coords]
+    try:
+        coords = [model.elem(c) for c in coords]
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"coordinates {coords!r} are not a vector of field elements") from exc
     if len(coords) != divisors.rank:
         raise DomainError(
             f"expected {divisors.rank} coordinates (free part first), got {len(coords)}"

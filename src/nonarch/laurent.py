@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .errors import DomainError, InvariantError
-from .fields import BaseFieldModel, FieldElement, _as_int, _scale_to_ints
+from .fields import BaseFieldModel, FieldElement, _as_int, _as_rationals, _power, _scale_to_ints
 from .values import INF, Val
 
 __all__ = ["LaurentPoly", "gauss_val", "gauss_val_rational", "log_derivative"]
@@ -150,15 +150,7 @@ class LaurentPoly:
             return LaurentPoly._of(self.model, self.n, {tuple(k * e for e in exps): coeff ** k})
         if k < 0:
             raise DomainError("negative powers require a single-term Laurent polynomial")
-        result = LaurentPoly.one(self.model, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, LaurentPoly.one(self.model, self.n))
 
     @property
     def is_zero(self) -> bool:
@@ -242,10 +234,7 @@ class LaurentPoly:
 
 def _radii(rho, n) -> tuple:
     """(d, steps): the common denominator d of the radii rho, and d * rho."""
-    rho = tuple(r if type(r) is Fraction else Fraction(r) for r in rho)
-    if len(rho) != n:
-        raise DomainError(f"radius vector has length {len(rho)}, expected {n}")
-    return _scale_to_ints(rho)
+    return _scale_to_ints(_as_rationals(rho, n, "radii"))
 
 
 def _level(f: LaurentPoly, d: int, steps) -> int:

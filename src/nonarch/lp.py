@@ -126,15 +126,16 @@ def lp_min(c, A, b):
             raise InvariantError("phase 1 is bounded below by 0 but read unbounded")
         if rows[-1][-1]:
             return INFEASIBLE, None, None
-        # pivot lingering artificials (each at 0) out of the basis, drop
-        # redundant rows; a row is negated to keep the denominator positive
+        # pivot lingering artificials (each at 0) out of the basis; a row is
+        # negated to keep the denominator positive.  Each constraint has its
+        # own slack column, so the slack block is d B^-1 times a signed
+        # identity, invertible, and no row is zero before the artificials
         for i in range(m - 1, -1, -1):
             if basis[i] < art:
                 continue
             j = next((j for j in range(art) if rows[i][j]), None)
             if j is None:
-                del rows[i], basis[i]
-                continue
+                raise InvariantError("phase 1 left a row that is zero before the artificials")
             if rows[i][j] < 0:
                 rows[i] = [-x for x in rows[i]]
             d = _pivot(rows, i, j, d)

@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .errors import DomainError
-from .fields import _as_int, _scale_to_ints
+from .fields import _as_int, _as_rationals, _scale_to_ints
 from .forms import MonomialChart, Pluriform
 from .lattices import _bareiss, _int_step
 from .laurent import gauss_val
@@ -93,9 +93,7 @@ def tropicalize(phi: Pluriform) -> TropPoly:
 def trop_eval(poly: TropPoly, rho) -> Val:
     """Value at rational radii: min over terms of c + <I, rho>; INF for an
     empty term list."""
-    rho = tuple(Fraction(r) for r in rho)
-    if len(rho) != poly.n:
-        raise DomainError(f"point has length {len(rho)}, expected {poly.n}")
+    rho = _as_rationals(rho, poly.n, "point")
     best = INF
     for c, exps in poly.terms:
         v = Val(c + sum(e * r for e, r in zip(exps, rho)))
@@ -121,21 +119,15 @@ class RationalPolytope:
             rows.append((a, Fraction(b)))
         self.constraints = tuple(rows)
 
-    def _point(self, point) -> tuple:
-        point = tuple(Fraction(x) for x in point)
-        if len(point) != self.n:
-            raise DomainError("point dimension mismatch")
-        return point
-
     def contains(self, point) -> bool:
-        point = self._point(point)
+        point = _as_rationals(point, self.n, "point")
         return all(
             sum(ai * xi for ai, xi in zip(a, point)) <= b for a, b in self.constraints
         )
 
     def tight_set(self, point) -> tuple:
         """Indices of constraints active at the point."""
-        point = self._point(point)
+        point = _as_rationals(point, self.n, "point")
         out = []
         for i, (a, b) in enumerate(self.constraints):
             if sum(ai * xi for ai, xi in zip(a, point)) == b:

@@ -313,6 +313,16 @@ def test_grid_zero_steps_is_named(tmp_path, capsys):
     assert "positive number of steps" in err
 
 
+def test_grid_refuses_a_polytope_of_another_dimension(tmp_path, capsys):
+    form = write(tmp_path, "f.json", {"l": 2, "m": 1, "entries": [{"e": [[1, 2]], "coeff": "t1 + t2"}]})
+    segment = write(tmp_path, "s.json", {"n": 1, "constraints": [{"a": ["1"], "b": "1"},
+                                                                 {"a": ["-1"], "b": "0"}]})
+    for region in (["--semistable", "1,1"], ["--polytope", segment]):
+        code, out, err = invoke(capsys, "grid", "--grid", "2", "--n", "2", *region, "--form", form)
+        assert code == 3 and not out
+        assert "form and polytope dimensions disagree" in err
+
+
 def test_grid_refuses_unbounded_and_empty_regions(tmp_path, capsys):
     form = write(tmp_path, "f.json", {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "t1"}]})
     halfline = write(tmp_path, "h.json", {"n": 1, "constraints": [{"a": ["-1"], "b": "0"}]})
@@ -366,6 +376,9 @@ ESCAPES = [
     (["eval-norm", "--n", "1", "--point", "1"], "--form <form file> is required"),
     (["max-locus", "--polytope", "{bool_b}", "--form", "{form}"], "bad rational True"),
     (["adic", "--field", "padic:2", "--matrix", "{bool_divisor}"], "bad rational True"),
+    (["adic", "--field", "padic:2", "--matrix", "{descending}"], "elementary divisors must be ascending"),
+    (["adic", "--field", "padic:2", "--matrix", "{negative_divisor}"], "finite and >= 0"),
+    (["adic", "--field", "padic:2", "--matrix", "{half_coord}"], "must lie in the valuation ring"),
     (["eval-norm", "--n", "1", "--point", "1", "--form", "{zero_off_basis}"], "basis subset (2,)"),
     (["eval-norm", "--n", "1", "--point", "1", "--form", "{cancel_off_basis}"], "basis subset (2,)"),
 ]
@@ -384,6 +397,9 @@ def test_malformed_documents_keep_the_exit_contract(tmp_path, capsys, argv, phra
         "deep": {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "2^-400"}]},
         "bool_b": {"n": 2, "constraints": [{"a": [1, 1], "b": True}]},
         "bool_divisor": {"divisors": [True], "coords": ["2"]},
+        "descending": {"divisors": ["2", "1"], "coords": ["1", "1"]},
+        "negative_divisor": {"divisors": ["-1"], "coords": ["1"]},
+        "half_coord": {"divisors": ["1"], "coords": ["1/2"]},
         # a basis index outside 1..n is refused even where its coefficients are zero
         "zero_off_basis": {"l": 1, "m": 1, "entries": [{"e": [[2]], "coeff": "0"}]},
         "cancel_off_basis": {"l": 1, "m": 1, "entries": [{"e": [[1]], "coeff": "t1"},

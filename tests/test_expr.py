@@ -194,3 +194,14 @@ def test_parse_matches_the_factorwise_oracle(case):
 ])
 def test_parse_matches_the_oracle_on_edge_cases(model, text):
     assert _outcome(parse_poly, text, model, 1, "t") == _outcome(parse_poly_oracle, text, model, 1, "t")
+
+
+def test_multi_term_coefficients_and_the_ts_family_render_and_reparse():
+    k = pi_adic_q()
+    pi = k.uniformizer()
+    f = LaurentPoly(k, 1, {(1,): 1 + pi, (0,): pi / 2})
+    assert poly_to_expr(f) == "1/2*pi + (1 + pi)*t1"
+    assert parse_poly(poly_to_expr(f), k, 1) == f
+    g = LaurentPoly(k, 4, {(1, 0, 0, 0): 1, (0, 0, 0, 2): 3 + pi ** 2, (0, 1, -1, 0): 1})
+    assert poly_to_expr(g, "ts") == "(3 + pi^2)*s2^2 + t2*s1^-1 + t1"
+    assert parse_poly(poly_to_expr(g, "ts"), k, 2, "ts") == g

@@ -529,3 +529,19 @@ def test_subtraction_matches_negated_addition_and_the_oracles(data):
     for a, b in ((x, other.one()), (other.one(), x)):
         with pytest.raises(DomainError, match="mixed base-field arithmetic"):
             a - b
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: repr(m))
+def test_division_by_zero_and_reflected_division(model):
+    x = model.elem(6) + (model.uniformizer() if model.has_pi else 0)
+    for zero in (0, Fraction(0), model.zero()):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    for q in (0, 1, Fraction(-2, 5)):
+        with pytest.raises(ZeroDivisionError):
+            q / model.zero()
+    # a rational over an element, by hand: (q / x) * x == q, and 1/4 is 1/4
+    for q in (1, Fraction(-2, 5)):
+        assert (q / x) * x == q and q / x == model.elem(q) / x
+    assert 1 / model.elem(4) == model.elem(Fraction(1, 4))
+    assert 0 / x == model.zero()

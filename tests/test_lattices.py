@@ -782,6 +782,52 @@ def test_malformed_radii_and_rows_are_domain_errors():
             build()
 
 
+def test_malformed_divisors_and_coordinates_are_domain_errors():
+    k3 = p_adic_q(3)
+    for divisors in (5, ("x",), (None,), ("1/0",), (float("nan"),)):
+        with pytest.raises(DomainError, match="not a vector of valuations"):
+            ElementaryDivisors(divisors, 0)
+    d = ElementaryDivisors((Val(1),), 1)
+    for coords in (3, ["x"], [None], [0, "1/0"], [float("inf")]):
+        with pytest.raises(DomainError, match="not a vector of field elements"):
+            adic_norm(d, coords, k3)
+    # hand values: the free coordinate counts at its valuation, a torsion
+    # one only below its divisor
+    assert adic_norm(d, [0, 3], k3) == INF
+    assert adic_norm(d, [9, 3], k3) == Val(2)
+    assert adic_norm(d, ["1/1", 3], k3) == Val(0)
+
+
+def test_ragged_and_non_square_matrices_are_refused():
+    k2 = p_adic_q(2)
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]]):
+        with pytest.raises(DomainError, match="ragged matrix"):
+            PresentationMatrix(k2, rows)
+    for rows in ([[1, 2]], [[1], [2]], [[1, 2], [3]], [[1, 2], [3, 4], [5, 6]]):
+        with pytest.raises(DomainError, match="square matrix"):
+            det_val(rows, k2)
+
+
+def test_laurent_entries_must_match_the_number_of_variables():
+    k2 = p_adic_q(2)
+    t = LaurentPoly.variable(k2, 2, 1)
+    with pytest.raises(DomainError, match="has 2 variables, expected 1"):
+        PresentationMatrix(k2, [[t]], nvars=1, rho=(0,))
+    with pytest.raises(DomainError, match="auxiliary variables but nvars = 0"):
+        PresentationMatrix(k2, [[t]])
+    with pytest.raises(DomainError, match="different base field"):
+        det_val([[LaurentPoly.constant(p_adic_q(3), 0, 1)]], k2)
+    # a Laurent entry in no variables is its constant, zero included: the
+    # same pivots as the plain field entries
+    const = [[LaurentPoly.constant(k2, 0, 4), LaurentPoly.zero(k2, 0)],
+             [LaurentPoly.constant(k2, 0, 2), LaurentPoly.constant(k2, 0, Fraction(6))]]
+    plain = [[4, 0], [2, 6]]
+    assert smith(PresentationMatrix(k2, const)) == smith(PresentationMatrix(k2, plain))
+    assert smith(PresentationMatrix(k2, const)).divisors == (Val(1), Val(2))
+    assert det_val(const, k2) == det_val(plain, k2) == Val(3)
+    assert content(PresentationMatrix(k2, [[LaurentPoly.zero(k2, 0)]])) == INF
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(KERNEL_MODELS), st.integers(0, 10**6))
 def test_3x3_det_is_the_cofactor_oracle(model, seed):

@@ -7,7 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from nonarch.errors import DomainError
 from nonarch.fields import PI_ADIC_FP, p_adic_q, pi_adic_fp, pi_adic_q, trivial_q
+from nonarch.forms import MonomialChart, Pluriform
+from nonarch.lattices import PresentationMatrix, det_val, semilattice_index
 from nonarch.laurent import LaurentPoly, gauss_val, gauss_val_rational, log_derivative
+from nonarch.seminorms import DiagSeminorm, wedge_power
 from nonarch.values import INF, Val
 
 
@@ -351,3 +354,38 @@ def test_every_term_dict_producer_drops_cancelled_terms():
     pulled = pullback(phi, MonomialChart(k, [s1 * s2, s1], rho=(1, 1)))
     assert pulled.form.coeffs == {((2,),): LaurentPoly.one(k, 2)}
     assert pulled.denominator == 1 and clean(pulled.form.coeffs)
+
+
+_K3 = p_adic_q(3)
+# counts, dimensions and primes that int() cannot read at all: None (a
+# TypeError), a non-integral string or NaN (a ValueError), infinity (an
+# OverflowError)
+UNREADABLE_INTS = [
+    ("PresentationMatrix nvars", lambda x: PresentationMatrix(_K3, [[1]], nvars=x)),
+    ("det_val nvars", lambda x: det_val([[1]], _K3, x)),
+    ("semilattice_index nvars", lambda x: semilattice_index([[1]], [[1]], _K3, x)),
+    ("LaurentPoly n", lambda x: LaurentPoly(_K3, x)),
+    ("MonomialChart.identity n", lambda x: MonomialChart.identity(_K3, x, ())),
+    ("Pluriform n", lambda x: Pluriform(_K3, x, 1, 1, {})),
+    ("wedge_power q", lambda x: wedge_power(DiagSeminorm.from_weights((0, 1)), x)),
+    ("p_adic_q p", p_adic_q),
+    ("pi_adic_fp p", pi_adic_fp),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in UNREADABLE_INTS], ids=[i for i, _ in UNREADABLE_INTS])
+@pytest.mark.parametrize("value", [None, "x", "2.5", float("nan"), float("inf")])
+def test_integers_that_int_cannot_read_are_domain_errors(build, value):
+    # a prime of None is a missing one, named as such
+    with pytest.raises(DomainError, match="is not an integer|requires a prime p, got None"):
+        build(value)
+
+
+def test_an_integral_prime_is_read_as_an_int():
+    # pi_adic_fp(3.0) equals pi_adic_fp(3) and hashes alike, so it must
+    # compute alike: its p is stored as the int 3
+    for make in (p_adic_q, pi_adic_fp):
+        k = make(3.0)
+        assert k == make(3) and hash(k) == hash(make(3)) and type(k.p) is int
+        assert k.elem(2) == make(3).elem(2) and k.elem(Fraction(1, 2)) ** 2 == make(3).elem(Fraction(1, 4))
+    assert pi_adic_fp(3.0).elem(2) == 2 and pi_adic_fp(Fraction(5)).elem(7) == 2

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import lp_oracle
 from nonarch.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_min
 from nonarch.tropical import RationalPolytope, polytope_vertices
 
@@ -26,6 +27,29 @@ def test_degenerate_and_redundant_rows():
     assert status == OPTIMAL
     assert point == (Fraction(1), Fraction(2))
     assert value == Fraction(-2)
+
+
+def test_duplicated_scaled_and_opposite_rows_match_the_fraction_simplex():
+    # copies of rows, scaled, and their opposites (equality pairs), with
+    # negative right-hand sides: phase 1 leaves artificials at 0 in the
+    # basis, each is pivoted out on the first nonzero entry before the
+    # artificials (one exists, since the slack block is invertible), and
+    # the result is the Fraction simplex's, down to the repr
+    rng = random.Random(2024)
+    for _ in range(300):
+        n, m = rng.randint(1, 3), rng.randint(1, 4)
+        a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+        b = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(a))
+            s = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            a.append([s * x for x in a[i]])
+            b.append(s * b[i])
+            if rng.random() < 0.5:
+                a.append([-x for x in a[i]])
+                b.append(-b[i])
+        c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        assert repr(lp_min(c, a, b)) == repr(lp_oracle.lp_min(c, a, b))
 
 
 def _random_bounded_polytope(rng, n):

@@ -126,3 +126,14 @@ def test_monotonicity_of_derived_weights():
         assert all(
             u <= v for u, v in zip(tensor(base, partner).weights, tensor(other, partner).weights)
         )
+
+
+def test_value_is_the_weighted_minimum_of_the_coordinates():
+    # |x| = max_i |x_i| * eps^w_i, additively min_i (v(x_i) + w_i)
+    a = DiagSeminorm.from_weights((0, Fraction(1, 2), INF))
+    assert a.value((2, 0, 0)) == Val(Fraction(1, 2))
+    assert a.value((Fraction(1, 3), 1, -5)) == Val(Fraction(1, 3))
+    assert a.value((INF, INF, 0)) == INF  # only the kernel direction is nonzero
+    assert a.value((INF, 1, 0)) == Val(Fraction(3, 2))
+    with pytest.raises(DomainError, match="coordinate count"):
+        a.value((0, 0))

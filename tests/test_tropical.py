@@ -11,7 +11,7 @@ from nonarch.errors import DomainError
 from nonarch.fields import p_adic_q, pi_adic_q
 from nonarch.forms import MonomialChart, Pluriform, kahler_norm_at
 from nonarch.lp import lp_min
-from nonarch.laurent import LaurentPoly
+from nonarch.laurent import LaurentPoly, gauss_val
 from nonarch.tropical import (
     Face,
     FaceComplex,
@@ -77,6 +77,35 @@ def test_semistable_skeleton():
         for test in (simplex.contains, simplex.tight_set):
             with pytest.raises(DomainError, match="point dimension mismatch"):
                 test(point)
+
+
+def test_vector_readers_refuse_junk_with_domain_errors():
+    # gauss_val, trop_eval and the polytope's point tests read radii and
+    # points as the matrix and chart constructors do: an entry Fraction
+    # cannot read, or no vector at all, is a DomainError, not a ValueError
+    # or TypeError; a vector of the wrong length is one too
+    f = LaurentPoly.variable(p_adic_q(2), 1, 1) + 1
+    poly = TropPoly(1, [(0, (1,)), (1, (0,))])
+    seg = semistable_skeleton(1, 2)
+    readers = (lambda x: gauss_val(f, x), lambda x: trop_eval(poly, x), seg.contains, seg.tight_set)
+    for read in readers:
+        for junk in (["x"], 1, [None], ["1/0"], [float("inf")], [float("nan")]):
+            with pytest.raises(DomainError, match="not a vector of rational numbers"):
+                read(junk)
+        for wrong in ((), (0, 0)):
+            with pytest.raises(DomainError, match="dimension mismatch"):
+                read(wrong)
+    # well-formed vectors of any rational type still read alike
+    assert gauss_val(f, ["1/2"]) == gauss_val(f, (0.5,)) == Val(0)
+    assert trop_eval(poly, [Fraction(3, 2)]) == trop_eval(poly, ["3/2"]) == Val(1)
+    assert seg.contains(["2"]) and not seg.contains([Fraction(5, 2)]) and seg.tight_set((2,)) == (1,)
+
+
+def test_min_locus_refuses_a_dimension_mismatch():
+    with pytest.raises(DomainError, match="dimensions disagree"):
+        min_locus(TropPoly(2, [(0, (1, 0))]), semistable_skeleton(1, 1))
+    with pytest.raises(DomainError, match="dimensions disagree"):
+        min_locus(TropPoly(1, [(0, (1,))]), semistable_skeleton(2, 1))
 
 
 def test_min_locus_vertex():

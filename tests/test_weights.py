@@ -62,6 +62,14 @@ def test_log_different_examples():
         assert log_different(spec_1d(p_adic_q(5), e), over="k") == Val(0)
 
 
+def test_log_different_without_kummer_layers_is_zero():
+    # no layers: the module has no torsion, so its content is the empty
+    # sum of v(e_j), over l and over k alike
+    for model in (p_adic_q(2), pi_adic_q()):
+        spec = KummerDivisorialSpec(model, 2, [])
+        assert log_different(spec, over="l") == log_different(spec, over="k") == Val(0)
+
+
 def test_log_different_matches_closed_form_and_adds_on_towers():
     for p in (2, 3, 5):
         model = p_adic_q(p)
