@@ -33,8 +33,8 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DomainError, ParseError
-from .fields import BaseFieldModel, FieldElement, _embed
-from .laurent import LaurentPoly, _add_term
+from .fields import BaseFieldModel, FieldElement, _embed, _pi_terms
+from .laurent import LaurentPoly, _add_term, _monomial_factors
 
 __all__ = ["parse_poly", "poly_to_expr"]
 
@@ -259,21 +259,8 @@ def _coeff_factors(elem) -> list:
         raise DomainError(
             "coefficient has a non-monomial pi denominator; not expressible in the grammar"
         )
-    shift, lead = len(den) - 1, den[-1]
-    parts = []
-    for i, c in enumerate(num):
-        if not c:
-            continue
-        e = i - shift
-        cs = str(Fraction(c, lead))
-        if e == 0:
-            parts.append(cs)
-        else:
-            pi = "pi" if e == 1 else f"pi^{e}"
-            parts.append(pi if cs == "1" else f"{cs}*{pi}")
-    if len(parts) == 1:
-        return [parts[0]]
-    return ["(" + " + ".join(parts) + ")"]
+    parts = _pi_terms(num, den[-1], len(den) - 1)
+    return parts if len(parts) == 1 else ["(" + " + ".join(parts) + ")"]
 
 
 def poly_to_expr(f: LaurentPoly, variables: str = "t") -> str:
@@ -288,15 +275,7 @@ def poly_to_expr(f: LaurentPoly, variables: str = "t") -> str:
         names = [f"{variables}{i + 1}" for i in range(f.n)]
     rendered = []
     for exps in sorted(f.terms):
-        coeff = f.terms[exps]
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 0:
-                continue
-            factors.append(name if e == 1 else f"{name}^{e}")
-        cparts = _coeff_factors(coeff)
-        if factors and cparts == ["1"]:
-            rendered.append("*".join(factors))
-        else:
-            rendered.append("*".join(cparts + factors))
+        factors = _monomial_factors(names, exps)
+        cparts = _coeff_factors(f.terms[exps])
+        rendered.append("*".join(factors if factors and cparts == ["1"] else cparts + factors))
     return " + ".join(rendered)

@@ -15,9 +15,10 @@ coefficients of numerator and denominator together have gcd 1, so a
 rational content lives in the ints and no coefficient is a ``Fraction``.
 Every operation returns that form, so equality and hashing read the stored
 payload; printing shows the monic form, each coefficient divided by the
-leading one of the denominator.  Elements of the rational models are
-stored as degree-zero ratios a/b, so one arithmetic code path serves all
-four models.  Every operation is exact.
+leading one of the denominator, through the one renderer of the terms
+c*pi^e (_pi_terms) that expr.poly_to_expr shares.  Elements of the
+rational models are stored as degree-zero ratios a/b, so one arithmetic
+code path serves all four models.  Every operation is exact.
 
 The polynomial helpers combine int coefficients with + - * and reduce each
 result coefficient mod p once, before stripping zeros.
@@ -410,37 +411,29 @@ class FieldElement:
             raise DomainError("mixed base-field arithmetic")
         return other
 
-    def __add__(self, other):
-        if not isinstance(other, (FieldElement, int, Fraction)):
-            return NotImplemented
-        other = self._check(other)
-        p = self.model._char
-        if self.den == other.den:
-            num = _padd(self.num, other.num, p)
-            if self.den == (1,):
-                return FieldElement(self.model, num, self.den)
-            return FieldElement._reduced(self.model, num, self.den)
-        num = _padd(_pmul(self.num, other.den, p), _pmul(other.num, self.den, p), p)
-        return FieldElement._reduced(self.model, num, _pmul(self.den, other.den, p))
+    def _additive(op):
+        """The body of + (op = _padd) and - (op = _psub)."""
+        def method(self, other):
+            if not isinstance(other, (FieldElement, int, Fraction)):
+                return NotImplemented
+            other = self._check(other)
+            p = self.model._char
+            if self.den == other.den:
+                num = op(self.num, other.num, p)
+                if self.den == (1,):
+                    return FieldElement(self.model, num, self.den)
+                return FieldElement._reduced(self.model, num, self.den)
+            num = op(_pmul(self.num, other.den, p), _pmul(other.num, self.den, p), p)
+            return FieldElement._reduced(self.model, num, _pmul(self.den, other.den, p))
+        return method
 
-    __radd__ = __add__
+    __add__ = __radd__ = _additive(_padd)
+    __sub__ = _additive(_psub)
+    del _additive
 
     def __neg__(self):
         num = _pstrip([-c for c in self.num], self.model._char)
         return FieldElement(self.model, num, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, (FieldElement, int, Fraction)):
-            return NotImplemented
-        other = self._check(other)
-        p = self.model._char
-        if self.den == other.den:
-            num = _psub(self.num, other.num, p)
-            if self.den == (1,):
-                return FieldElement(self.model, num, self.den)
-            return FieldElement._reduced(self.model, num, self.den)
-        num = _psub(_pmul(self.num, other.den, p), _pmul(other.num, self.den, p), p)
-        return FieldElement._reduced(self.model, num, _pmul(self.den, other.den, p))
 
     def __rsub__(self, other):
         return self._check(other) - self
@@ -523,28 +516,30 @@ class FieldElement:
 
     # -- rendering ---------------------------------------------------------------
 
-    def _poly_str(self, coeffs) -> str:
-        lead = self.den[-1]
-        parts = []
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            cs = str(Fraction(c, lead))
-            if i == 0:
-                parts.append(cs)
-            else:
-                head = "" if cs == "1" else f"{cs}*"
-                parts.append(f"{head}pi" if i == 1 else f"{head}pi^{i}")
-        return " + ".join(parts) if parts else "0"
-
     def __str__(self):
-        num_s = self._poly_str(self.num)
+        lead = self.den[-1]
+        num_s = " + ".join(_pi_terms(self.num, lead, 0)) or "0"
         if len(self.den) == 1:
             return num_s
-        return f"({num_s})/({self._poly_str(self.den)})"
+        return f"({num_s})/({' + '.join(_pi_terms(self.den, lead, 0))})"
 
     def __repr__(self):
         return f"<{self} in {self.model.kind}>"
+
+
+def _pi_terms(coeffs, lead, shift) -> list:
+    """The nonzero terms of sum c_i pi^(i - shift) over the coefficients
+    coeffs, each c_i divided by lead, as strings c*pi^e: the one renderer
+    of a polynomial in pi, for printing and for poly_to_expr."""
+    out = []
+    for i, c in enumerate(coeffs):
+        if c:
+            cs, e = str(Fraction(c, lead)), i - shift
+            if e:
+                pi = "pi" if e == 1 else f"pi^{e}"
+                cs = pi if cs == "1" else f"{cs}*{pi}"
+            out.append(cs)
+    return out
 
 
 def _as_int(x, what="exponent") -> int:
@@ -562,13 +557,17 @@ def _as_int(x, what="exponent") -> int:
 
 
 def _as_rationals(xs, n, what) -> tuple:
-    """xs as a tuple of n Fractions; a DomainError naming xs as what where
-    Fraction cannot read an entry or the length is not n."""
+    """xs as a tuple of n Fractions (of any length for n None); a
+    DomainError naming xs as what where xs is a str (not the vector of its
+    characters) or no vector, Fraction cannot read an entry, or the length
+    is not n.  A scalar reader passes the one-entry vector (x,)."""
     try:
+        if isinstance(xs, str):
+            raise TypeError("a str is not a vector")
         xs = tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"{what} {xs!r} are not a vector of rational numbers") from exc
-    if len(xs) != n:
+    if n is not None and len(xs) != n:
         raise DomainError(f"{what} dimension mismatch: got {len(xs)}, expected {n}")
     return xs
 

@@ -25,7 +25,9 @@ ring has one step callable for the kernel's update, and no field element
 is built in the loop.  Every valuation read is an int, over the radii's
 common denominator for Laurent entries.  The kernel also gives forms exact
 determinants of 4 x 4 and larger matrices (_det) and tropical the pivot
-columns of constraint matrices.
+columns of constraint matrices.  Those, like trivial_q matrices, pass the
+trivial valuation _flat, under which the one pivot rule takes the first
+nonzero live entry.
 """
 
 from __future__ import annotations
@@ -126,6 +128,8 @@ class ElementaryDivisors:
 
     def __post_init__(self):
         try:
+            if isinstance(self.divisors, str):
+                raise TypeError("a str is not a vector")
             divisors = tuple(Val(d) for d in self.divisors)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainError(
@@ -145,7 +149,7 @@ class ElementaryDivisors:
         return self.free_rank + len(self.divisors)
 
 
-def _bareiss(work, step, valfn=None):
+def _bareiss(work, step, valfn):
     """Fraction-free Gaussian elimination (Bareiss, 1968) with full
     pivoting, in place on a matrix over one ring: ints, int tuples (the
     polynomials of _poly_step) or Laurent polynomials.
@@ -155,42 +159,36 @@ def _bareiss(work, step, valfn=None):
     d_(k-1)) = (d_k a_ij - a_ip a_pj) / d_(k-1), with d_(k-1) None for
     k = 1 (no division).  A live entry is then the minor on the retired
     rows and columns plus its own, so every division is exact (an inexact
-    one raises InvariantError in step) and d_k is a k x k minor.  With
-    valfn, the int valuation of a nonzero entry (_pord of a tuple, a
-    Laurent entry's laurent._level), the pivot is the nonzero live entry
-    of least valfn value (ties by row-major position), so v(d_k) is the
-    least valuation of any k x k minor; each step calls valfn once on
-    every nonzero live entry.  Without valfn the pivot is the first
-    nonzero live entry.
+    one raises InvariantError in step) and d_k is a k x k minor.  valfn is
+    the int valuation of a nonzero entry (_pord of a tuple, a Laurent
+    entry's laurent._level, the trivial _flat); the pivot is the nonzero
+    live entry of least valfn value, ties by row-major position, so v(d_k)
+    is the least valuation of any k x k minor.  Each step calls valfn once
+    on every nonzero live entry.  Under _flat every entry ties, and the
+    pivot is the first nonzero live entry.
 
     Returns (positions, sign, vals): the pivot positions (row, col) until
     the live block is zero or empty, the sign of the row and column
     permutations, so that sign * d_n is the determinant of a nonsingular
-    n x n matrix, and with valfn the pivot valuations v(d_k) (else [])."""
+    n x n matrix, and the pivot valuations v(d_k)."""
     live_rows = list(range(len(work)))
     live_cols = list(range(len(work[0]))) if work else []
     positions, vals = [], []
     prev = None
     sign = 1
     while live_rows and live_cols:
-        if valfn is None:
-            at = next(((r, c) for r in live_rows for c in live_cols if work[r][c]), None)
-            if at is None:
-                break
-            pr, pc = at
-        else:
-            best, pr, pc = None, -1, -1
-            for r in live_rows:
-                row = work[r]
-                for c in live_cols:
-                    x = row[c]
-                    if x:
-                        v = valfn(x)
-                        if best is None or v < best:
-                            best, pr, pc = v, r, c
-            if best is None:
-                break
-            vals.append(best)
+        best, pr, pc = None, -1, -1
+        for r in live_rows:
+            row = work[r]
+            for c in live_cols:
+                x = row[c]
+                if x:
+                    v = valfn(x)
+                    if best is None or v < best:
+                        best, pr, pc = v, r, c
+        if best is None:
+            break
+        vals.append(best)
         i, j = live_rows.index(pr), live_cols.index(pc)
         if (i + j) & 1:
             sign = -sign
@@ -205,6 +203,12 @@ def _bareiss(work, step, valfn=None):
                 row[c] = step(piv, row[c], a, top[c], prev)
         prev = piv
     return positions, sign, vals
+
+
+def _flat(x) -> int:
+    """The trivial valuation, 0 on every nonzero entry: under it the
+    kernel's pivot is the first nonzero live entry."""
+    return 0
 
 
 def _int_step(piv, x, a, y, prev):
@@ -279,7 +283,7 @@ def _kernel_rows(rows, model: BaseFieldModel, rho):
             shift += _int_padic(scale, p)
     if p:
         return work, _int_step, lambda n: _int_padic(n, p), shift, 1
-    return work, _int_step, lambda n: 0, 0, 1
+    return work, _int_step, _flat, 0, 1
 
 
 def _cofactor_num(e: FieldElement, dens, p):
@@ -296,7 +300,8 @@ def _cofactor_num(e: FieldElement, dens, p):
 def _det(rows):
     """Exact determinant of a square matrix of ints, or of a nonempty one
     of Laurent polynomials: up to 3 x 3 by cofactor expansion, larger by
-    the kernel."""
+    the kernel under the trivial valuation _flat, so each pivot is the
+    first nonzero live entry."""
     if len(rows) < 2:
         return rows[0][0] if rows else 1
     if len(rows) == 2:
@@ -306,7 +311,8 @@ def _det(rows):
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     work = [list(r) for r in rows]
-    positions, sign, _ = _bareiss(work, _int_step if isinstance(rows[0][0], int) else _laurent_step)
+    step = _int_step if isinstance(rows[0][0], int) else _laurent_step
+    positions, sign, _ = _bareiss(work, step, _flat)
     if len(positions) < len(work):
         return work[0][0] - work[0][0]  # the zero of the entries' ring
     r, c = positions[-1]
@@ -368,6 +374,8 @@ def adic_norm(divisors: ElementaryDivisors, coords, model: BaseFieldModel) -> Va
     divisible, i.e. zero in the free part and zero in every torsion
     component."""
     try:
+        if isinstance(coords, str):
+            raise TypeError("a str is not a vector")
         coords = [model.elem(c) for c in coords]
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"coordinates {coords!r} are not a vector of field elements") from exc

@@ -206,16 +206,11 @@ class LaurentPoly:
     def to_string(self, family: str = "t") -> str:
         if not self.terms:
             return "0"
+        names = [f"{family}{i + 1}" for i in range(self.n)]
         parts = []
         for exps in sorted(self.terms):
-            coeff = self.terms[exps]
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = f"{family}{i + 1}"
-                factors.append(name if e == 1 else f"{name}^{e}")
-            cs = str(coeff)
+            factors = _monomial_factors(names, exps)
+            cs = str(self.terms[exps])
             if not factors:
                 parts.append(cs)
             elif cs == "1":
@@ -230,6 +225,13 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"<LaurentPoly {self} over {self.model.kind}>"
+
+
+def _monomial_factors(names, exps) -> list:
+    """The factors name or name^e of the monomial with exponents exps in
+    the variables names, none for e = 0: the one renderer of a monomial,
+    for printing and for poly_to_expr."""
+    return [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
 
 
 def _radii(rho, n) -> tuple:

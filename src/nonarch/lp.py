@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError
-from .fields import _scale_to_ints
+from .fields import _as_rationals, _scale_to_ints
 
 __all__ = ["lp_min", "OPTIMAL", "UNBOUNDED", "INFEASIBLE"]
 
@@ -86,10 +86,11 @@ def lp_min(c, A, b):
     """Minimize c.x over {x : A x <= b}, x free.
 
     Returns (status, value, point); value and point are None unless the
-    status is OPTIMAL.  All data may be ints or Fractions."""
-    c = [Fraction(v) for v in c]
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
+    status is OPTIMAL.  All data are read as rationals (fields._as_rationals),
+    so data that is no vector of them is a DomainError."""
+    c = _as_rationals(c, None, "objective")
+    A = [_as_rationals(row, None, "constraint row") for row in A]
+    b = _as_rationals(b, None, "right-hand side")
     n = len(c)
     m = len(A)
     if any(len(row) != n for row in A):
@@ -98,7 +99,7 @@ def lp_min(c, A, b):
         raise DomainError("constraint and right-hand side lengths disagree")
 
     # columns: x+ (n), x- (n), slacks (m), artificials, right-hand side
-    _, ints = _scale_to_ints([v for row in A for v in row] + b)
+    _, ints = _scale_to_ints([v for row in (*A, b) for v in row])
     art = 2 * n + m
     width = art + sum(v < 0 for v in b) + 1
     rows = []

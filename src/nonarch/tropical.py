@@ -28,7 +28,7 @@ from operator import itemgetter, mul
 from .errors import DomainError
 from .fields import _as_int, _as_rationals, _scale_to_ints
 from .forms import MonomialChart, Pluriform
-from .lattices import _bareiss, _int_step
+from .lattices import _bareiss, _flat, _int_step
 from .laurent import gauss_val
 from .lp import INFEASIBLE, _pivot, lp_min
 from .values import INF, Val
@@ -59,9 +59,10 @@ class TropPoly:
 
     def __init__(self, n: int, terms):
         self.n = _as_int(n, "dimension")
+        terms = list(terms)
+        consts = _as_rationals([c for c, _ in terms], None, "term constants")
         best = {}
-        for c, exps in terms:
-            c = Fraction(c)
+        for c, (_, exps) in zip(consts, terms):
             exps = tuple(map(_as_int, exps))
             if len(exps) != self.n:
                 raise DomainError(f"slope vector {exps} has wrong length (expected {self.n})")
@@ -111,12 +112,14 @@ class RationalPolytope:
 
     def __init__(self, n: int, constraints):
         self.n = _as_int(n, "dimension")
+        constraints = list(constraints)
+        bounds = _as_rationals([b for _, b in constraints], None, "constraint bounds")
         rows = []
-        for a, b in constraints:
-            a = tuple(Fraction(x) for x in a)
+        for (a, _), b in zip(constraints, bounds):
+            a = _as_rationals(a, None, "constraint row")
             if len(a) != self.n:
                 raise DomainError(f"constraint row {a} has wrong length (expected {self.n})")
-            rows.append((a, Fraction(b)))
+            rows.append((a, b))
         self.constraints = tuple(rows)
 
     def contains(self, point) -> bool:
@@ -144,7 +147,7 @@ def semistable_skeleton(n: int, va) -> RationalPolytope:
     n = _as_int(n, "dimension")
     if n < 1:
         raise DomainError("skeleton dimension must be >= 1")
-    va = Fraction(va)
+    va, = _as_rationals((va,), 1, "chart constant")
     if va <= 0:
         raise DomainError("the chart constant must have positive valuation")
     constraints = []
@@ -262,7 +265,7 @@ def _bounded_pass(p: RationalPolytope) -> list:
                 if solved is not None and any(all(y >= 0 for y in row) for row in solved[0]):
                     raise DomainError(_UNBOUNDED)
         return found
-    cols = [c for _, c in _bareiss([a[:] for a, _ in rows], _int_step)[0]]
+    cols = [c for _, c in _bareiss([a[:] for a, _ in rows], _int_step, _flat)[0]]
     if len(cols) == n or not _vertex_pass(
             RationalPolytope(len(cols), [([a[c] for c in cols], b) for a, b in rows]))[1]:
         raise DomainError("empty polytope")

@@ -11,12 +11,14 @@ All comparisons are exact rational comparisons.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 __all__ = ["Val", "INF", "vmin", "vsum"]
 
 _INF_TAG = object()
 
 
+@total_ordering
 class Val:
     """An element of Q union {+infinity}, totally ordered, with INF
     absorbing addition.  Immutable and hashable."""
@@ -87,32 +89,15 @@ class Val:
                 return NotImplemented
         return self._q == other._q
 
-    # INF (stored as None) is the top of the order.  Each comparison is written
-    # out: functools.total_ordering would derive three of them from __lt__ and
-    # __eq__, two calls where vmin and every other caller comparing Vals make one
+    # INF (stored as None) is the top of the order.  Only __lt__ is written
+    # out: every comparison of Vals in the package (vmin, min, sorted, the
+    # valuation-ring checks) is a <, so total_ordering derives <=, > and >=
+    # from __lt__ and __eq__ for outside callers, at two calls each
     def __lt__(self, other):
         if type(other) is not Val:
             other = _coerce(other)
         a, b = self._q, other._q
         return a is not None and (b is None or a < b)
-
-    def __le__(self, other):
-        if type(other) is not Val:
-            other = _coerce(other)
-        a, b = self._q, other._q
-        return b is None or (a is not None and a <= b)
-
-    def __gt__(self, other):
-        if type(other) is not Val:
-            other = _coerce(other)
-        a, b = self._q, other._q
-        return b is not None and (a is None or a > b)
-
-    def __ge__(self, other):
-        if type(other) is not Val:
-            other = _coerce(other)
-        a, b = self._q, other._q
-        return a is None or (b is not None and a >= b)
 
     def __hash__(self):
         return hash(("Val", self._q))

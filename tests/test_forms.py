@@ -220,7 +220,7 @@ def test_chart_refuses_a_negative_dimension_and_radii_that_are_not_rational():
     k = pi_adic_q()
     with pytest.raises(DomainError, match="dimension must be nonnegative"):
         MonomialChart.identity(k, -1, ())
-    for rho in (["x"], [float("inf")], [float("nan")], 1, [None]):
+    for rho in (["x"], [float("inf")], [float("nan")], 1, [None], "1"):
         with pytest.raises(DomainError, match="not a vector of rational numbers"):
             MonomialChart.identity(k, 1, rho)
         with pytest.raises(DomainError, match="not a vector of rational numbers"):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lattice_oracle
 from nonarch import lattices
@@ -18,6 +18,7 @@ from nonarch.lattices import (
     PresentationMatrix,
     _bareiss,
     _det,
+    _flat,
     _int_step,
     _kernel_rows,
     _laurent_step,
@@ -383,11 +384,99 @@ def test_4x4_laurent_divisor_sum_random(model, seed, r1, r2):
     _check_divisor_sum_is_cofactor_det(model, _found_matrix(seed, model), (Fraction(*r1), Fraction(*r2)))
 
 
+# 5 x 5 and 6 x 6 matrices whose zero diagonal entries, zero first row or
+# zero leading block make the kernel swap rows and columns
+_SWAPPING_DETS = [
+    [[0, 1, 0, 0, 0], [0, 0, 2, 0, 0], [0, 0, 0, -3, 0], [0, 0, 0, 0, 1], [4, 0, 0, 0, 0]],
+    [[0, 0, 0, 0, 0], [1, 2, 0, 0, 3], [0, 0, 1, -1, 0], [2, 0, 0, 1, 0], [0, 3, 4, 0, 0]],
+    [[0, 0, 0, 1, 2], [0, 0, 0, 3, 4], [0, 0, 1, 0, 0], [5, 6, 0, 0, 0], [7, 8, 0, 0, 1]],
+    [[0, 2, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, -1, 0, 0], [0, 0, 3, 0, 0, 0],
+     [0, 0, 0, 0, 0, 4], [0, 0, 0, 0, -2, 0]],
+    [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 2, 0], [1, 0, 0, 0, 0, 1], [0, 3, 0, 0, 0, 0],
+     [0, 0, 0, 4, 0, 0], [2, 0, 0, 0, 1, 0]],
+]
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
     st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)))
+@example(_SWAPPING_DETS[0])
+@example(_SWAPPING_DETS[1])
+@example(_SWAPPING_DETS[2])
+@example(_SWAPPING_DETS[3])
+@example(_SWAPPING_DETS[4])
 def test_kernel_integer_det_matches_the_oracle(rows):
     assert _det(rows) == _int_det(rows)
+
+
+def _first_nonzero_bareiss(work, step):
+    """The kernel's former valuation-free pivot rule, kept as a reference:
+    each pivot is the first nonzero live entry in row-major order.
+    Returns (positions, sign) as _bareiss does."""
+    live_rows = list(range(len(work)))
+    live_cols = list(range(len(work[0]))) if work else []
+    positions, prev, sign = [], None, 1
+    while live_rows and live_cols:
+        at = next(((r, c) for r in live_rows for c in live_cols if work[r][c]), None)
+        if at is None:
+            break
+        pr, pc = at
+        i, j = live_rows.index(pr), live_cols.index(pc)
+        if (i + j) & 1:
+            sign = -sign
+        del live_rows[i], live_cols[j]
+        positions.append(at)
+        top, piv = work[pr], work[pr][pc]
+        for r in live_rows:
+            a = work[r][pc]
+            for c in live_cols:
+                work[r][c] = step(piv, work[r][c], a, top[c], prev)
+        prev = piv
+    return positions, sign
+
+
+def _sparse_laurent_matrix(rng, model, rows, cols):
+    """A rows x cols matrix of Laurent polynomials in two variables, about
+    half of its entries zero."""
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            terms = {}
+            if rng.random() < 0.5:
+                for _ in range(rng.randint(1, 2)):
+                    exps = (rng.randint(-1, 2), rng.randint(0, 2))
+                    terms[exps] = _unit_times_pi(model, rng.choice([1, -1, 2, 3]), rng.randint(0, 2))
+            row.append(LaurentPoly(model, 2, terms))
+        out.append(row)
+    return out
+
+
+def test_the_trivial_valuation_pivots_on_the_first_nonzero_entry():
+    # under _flat the kernel takes the same pivots, with the same sign and
+    # the same eliminated matrix, as the first-nonzero rule it replaced:
+    # on sparse int matrices (zero diagonal entries, a zero first row,
+    # rectangular and singular ones) and on sparse Laurent matrices
+    fixed = [[[0, 1], [1, 0]], [[0, 0, 0], [0, 2, 1], [3, 0, 0]], [[0, 0], [0, 0]],
+             [[0, 5, 0, 1], [0, 0, 0, 0], [2, 0, 0, 0]]] + _SWAPPING_DETS
+    rng = random.Random(25)
+    ints = fixed + [[[rng.choice([0, 0, 0, 1, -2, 3]) for _ in range(c)] for _ in range(r)]
+                    for r, c in [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(200)]]
+    for rows in ints:
+        got, want = [r[:] for r in rows], [r[:] for r in rows]
+        positions, sign, vals = _bareiss(got, _int_step, _flat)
+        assert (positions, sign) == _first_nonzero_bareiss(want, _int_step) and got == want
+        assert vals == [0] * len(positions)
+    model = pi_adic_q()
+    for size in (1, 2, 3, 3, 4, 4, 5):
+        rows = _sparse_laurent_matrix(rng, model, size, size)
+        rows[0] = [LaurentPoly.zero(model, 2)] * size  # a zero first row
+        for shape in (rows, rows[::-1]):
+            got, want = [r[:] for r in shape], [r[:] for r in shape]
+            positions, sign, _ = _bareiss(got, _laurent_step, _flat)
+            assert (positions, sign) == _first_nonzero_bareiss(want, _laurent_step) and got == want
+        rows = _sparse_laurent_matrix(rng, model, size, size)
+        assert _det(rows) == lattice_oracle.det_laurent(rows)
 
 
 def test_exact_quotient_recovers_factors_and_refuses_remainders():
@@ -768,7 +857,7 @@ def test_a_negative_nvars_is_refused_as_such():
 
 def test_malformed_radii_and_rows_are_domain_errors():
     k2 = p_adic_q(2)
-    for rho in (["x"], 1, [None], [float("inf")]):
+    for rho in (["x"], 1, [None], [float("inf")], "1"):
         for build in (lambda: PresentationMatrix(k2, [[1]], nvars=1, rho=rho),
                       lambda: det_val([[1]], k2, 1, rho),
                       lambda: semilattice_index([[1]], [[1]], k2, 1, rho)):
@@ -784,11 +873,11 @@ def test_malformed_radii_and_rows_are_domain_errors():
 
 def test_malformed_divisors_and_coordinates_are_domain_errors():
     k3 = p_adic_q(3)
-    for divisors in (5, ("x",), (None,), ("1/0",), (float("nan"),)):
+    for divisors in (5, ("x",), (None,), ("1/0",), (float("nan"),), "12"):
         with pytest.raises(DomainError, match="not a vector of valuations"):
             ElementaryDivisors(divisors, 0)
     d = ElementaryDivisors((Val(1),), 1)
-    for coords in (3, ["x"], [None], [0, "1/0"], [float("inf")]):
+    for coords in (3, ["x"], [None], [0, "1/0"], [float("inf")], "12"):
         with pytest.raises(DomainError, match="not a vector of field elements"):
             adic_norm(d, coords, k3)
     # hand values: the free coordinate counts at its valuation, a torsion

@@ -89,7 +89,7 @@ def test_vector_readers_refuse_junk_with_domain_errors():
     seg = semistable_skeleton(1, 2)
     readers = (lambda x: gauss_val(f, x), lambda x: trop_eval(poly, x), seg.contains, seg.tight_set)
     for read in readers:
-        for junk in (["x"], 1, [None], ["1/0"], [float("inf")], [float("nan")]):
+        for junk in (["x"], 1, [None], ["1/0"], [float("inf")], [float("nan")], "3"):
             with pytest.raises(DomainError, match="not a vector of rational numbers"):
                 read(junk)
         for wrong in ((), (0, 0)):
@@ -99,6 +99,37 @@ def test_vector_readers_refuse_junk_with_domain_errors():
     assert gauss_val(f, ["1/2"]) == gauss_val(f, (0.5,)) == Val(0)
     assert trop_eval(poly, [Fraction(3, 2)]) == trop_eval(poly, ["3/2"]) == Val(1)
     assert seg.contains(["2"]) and not seg.contains([Fraction(5, 2)]) and seg.tight_set((2,)) == (1,)
+
+
+def test_scalar_rationals_are_read_as_rationals():
+    # chart constants, term constants, polytope rows and bounds and LP data
+    # are read by the vector reader, a scalar as a one-entry vector: junk
+    # is a DomainError, not a ValueError or TypeError
+    for build in (lambda: semistable_skeleton(2, "x"),
+                  lambda: semistable_skeleton(2, None),
+                  lambda: TropPoly(1, [(None, (1,))]),
+                  lambda: TropPoly(1, [("1/0", (1,))]),
+                  lambda: RationalPolytope(1, [(1, 1)]),
+                  lambda: RationalPolytope(1, [("1", 1)]),
+                  lambda: RationalPolytope(1, [((1,), "x")]),
+                  lambda: lp_min(["x"], [[1]], [1]),
+                  lambda: lp_min([1], [1], [1]),
+                  lambda: lp_min([1], [[1]], [None]),
+                  lambda: lp_min([1], [[float("nan")]], [1])):
+        with pytest.raises(DomainError, match="not a vector of rational numbers"):
+            build()
+    # the length messages are the ones they were
+    with pytest.raises(DomainError, match="has wrong length"):
+        RationalPolytope(2, [((1,), 1)])
+    with pytest.raises(DomainError, match="objective and constraint dimensions disagree"):
+        lp_min([1, 2], [[1]], [1])
+    with pytest.raises(DomainError, match="right-hand side lengths disagree"):
+        lp_min([1], [[1]], [1, 2])
+    # well-formed scalars of any rational type still read alike
+    assert semistable_skeleton(1, "1/2").constraints == semistable_skeleton(1, 0.5).constraints
+    assert TropPoly(1, [("1/2", (1,))]) == TropPoly(1, [(0.5, (1,))])
+    assert RationalPolytope(1, [(["1/2"], "3")]).constraints == (((Fraction(1, 2),), Fraction(3)),)
+    assert lp_min(["1"], [["-1"]], ["0"]) == lp_min([1], [[-1]], [0]) == (OPTIMAL, 0, (0,))
 
 
 def test_min_locus_refuses_a_dimension_mismatch():
